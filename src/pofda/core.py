@@ -164,10 +164,6 @@ class FunctionalSample:
     def n_curves(self) -> int:
         return len(self.curves)
 
-    def index_set(self, point_index: int) -> np.ndarray:
-        """Indices of the curves observed at one grid point."""
-        return np.nonzero(self.mask[:, point_index])[0]
-
     def observed_at(self, point_index: int) -> np.ndarray:
         """Observed values at one grid point, in curve order."""
         col_mask = self.mask[:, point_index]

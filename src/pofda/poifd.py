@@ -66,16 +66,94 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_base_weights(
-    sample: FunctionalSample, phi: PhiLike, weighting: str
+def _point_weights(
+    sample: FunctionalSample,
+    phi: PhiLike = "identity",
+    weighting: str = "points",
+    w=None,
 ) -> np.ndarray:
-    """Unnormalized per-point weights phi(q_n), optionally trapezoid-scaled."""
-    base = _phi_of_coverage(phi, sample.coverage)
-    if weighting == "trapezoid":
-        base = base * sample.grid.trapezoid_weights()
-    elif weighting != "points":
-        raise ValueError("weighting must be 'points' or 'trapezoid'")
-    return base
+    """Unnormalized per-point weights over the grid.
+
+    A fixed weight vector when `w` is given ('uniform', 'trapezoid', or
+    an explicit array summing to 1); otherwise the coverage weights
+    phi(q_n), trapezoid-scaled under weighting='trapezoid'.
+    """
+    if w is None:
+        base = _phi_of_coverage(phi, sample.coverage)
+        if weighting == "trapezoid":
+            return base * sample.grid.trapezoid_weights()
+        if weighting != "points":
+            raise ValueError("weighting must be 'points' or 'trapezoid'")
+        return base
+    if isinstance(w, str):
+        if w == "uniform":
+            return sample.grid.uniform_weights()
+        if w == "trapezoid":
+            return sample.grid.trapezoid_weights()
+        raise ValueError(f"unknown weight name {w!r}")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (sample.grid.size,):
+        raise ValueError("weight vector length does not match the grid")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1")
+    return w
+
+
+# Grid columns ranked per pass: about this many cells, so the integer
+# temporaries stay small however large n is.
+_BLOCK_CELLS = 1 << 16
+
+
+def _rank_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (#<= v, #< v) of every entry v of a row among that row.
+
+    Rows of `block` are grid columns, unobserved slots hold +inf: it
+    sorts after every (finite) observed value, so an observed entry is
+    counted among the observed ones only, and unlike NaN it keeps
+    numpy's vectorized argsort path. In sorted order, #< v is the start
+    of v's tie group and #<= v its end.
+    """
+    n = block.shape[1]
+    order = np.argsort(block, axis=1)
+    ranked = np.take_along_axis(block, order, axis=1)
+    pos = np.arange(1, n)
+    new_group = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.zeros(block.shape, dtype=np.intp)
+    starts[:, 1:] = np.where(new_group, pos, 0)
+    ends = np.full(block.shape, n, dtype=np.intp)
+    ends[:, :-1] = np.where(new_group, pos, n)
+    c_lt = np.empty_like(starts)
+    c_le = np.empty_like(ends)
+    np.put_along_axis(c_lt, order, np.maximum.accumulate(starts, axis=1), axis=1)
+    np.put_along_axis(
+        c_le, order, np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1], axis=1
+    )
+    return c_le, c_lt
+
+
+def _query_counts(
+    sample: FunctionalSample, curve: PartialCurve
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Usable grid points of a curve and the counts (#<= x(t), #< x(t)).
+
+    A point is usable where the curve and at least one sample curve are
+    observed; the counts run over the sample's observed values there,
+    unobserved slots being NaN, which compares False.
+    """
+    if len(curve) != sample.grid.size:
+        raise ValueError("curve length does not match the sample grid")
+    points = np.flatnonzero(curve.mask & (sample.counts > 0))
+    if points.size == 0:
+        raise ValueError("no sample curve observed on the curve's observation set")
+    observed = sample.values[:, points]
+    x = curve.values[points]
+    return (
+        points,
+        np.count_nonzero(observed <= x, axis=0),
+        np.count_nonzero(observed < x, axis=0),
+    )
 
 
 def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarray:
@@ -87,16 +165,15 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
     kind = DepthKind(kind)
     n, T = sample.values.shape
     out = np.full((n, T), np.nan)
-    for ell in range(T):
-        col_mask = sample.mask[:, ell]
-        if not col_mask.any():
-            continue
-        vals = sample.values[col_mask, ell]
-        sorted_vals = np.sort(vals)
-        k = sorted_vals.size
-        c_le = np.searchsorted(sorted_vals, vals, side="right")
-        c_lt = np.searchsorted(sorted_vals, vals, side="left")
-        out[col_mask, ell] = depth_from_counts(kind, c_le, c_lt, k)
+    # columns no curve observes stay NaN and keep k = 0 out of the division
+    columns = np.flatnonzero(sample.counts)
+    width = max(1, _BLOCK_CELLS // n)
+    for start in range(0, columns.size, width):
+        cols = columns[start : start + width]
+        block = np.where(sample.mask.T[cols], sample.values.T[cols], np.inf)
+        c_le, c_lt = _rank_counts(block)
+        depth = depth_from_counts(kind, c_le, c_lt, sample.counts[cols, None])
+        out[:, cols] = np.where(sample.mask[:, cols], depth.T, np.nan)
     return out
 
 
@@ -147,7 +224,7 @@ def poifd_all(
         'trapezoid' additionally scales by trapezoid cell widths.
     """
     contributions = pointwise_depth_field(sample, kind)
-    base = _point_base_weights(sample, phi, weighting)
+    base = _point_weights(sample, phi, weighting)
 
     raw = np.where(sample.mask, base[None, :], 0.0)
     norms = raw.sum(axis=1)
@@ -177,23 +254,9 @@ def poifd_of(
     `poifd_sample`.
     """
     kind = DepthKind(kind)
-    if len(curve) != sample.grid.size:
-        raise ValueError("curve length does not match the sample grid")
-    usable = curve.mask & (sample.counts > 0)
-    if not usable.any():
-        raise ValueError("no sample curve observed on the curve's observation set")
-
-    base = _point_base_weights(sample, phi, weighting)
-    points = np.nonzero(usable)[0]
-    depth_vals = np.empty(points.size)
-    for j, ell in enumerate(points):
-        obs = sample.observed_at(ell)
-        sorted_vals = np.sort(obs)
-        k = sorted_vals.size
-        x = curve.values[ell]
-        c_le = np.searchsorted(sorted_vals, x, side="right")
-        c_lt = np.searchsorted(sorted_vals, x, side="left")
-        depth_vals[j] = depth_from_counts(kind, c_le, c_lt, k)
+    points, c_le, c_lt = _query_counts(sample, curve)
+    base = _point_weights(sample, phi, weighting)
+    depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
     w = base[points]
     norm = w.sum()
     if norm <= 0.0:
@@ -214,23 +277,6 @@ def poifd_sample(
     return poifd_of(sample, sample.curves[curve_index], kind, phi, weighting)
 
 
-def _resolve_fixed_weights(sample: FunctionalSample, w) -> np.ndarray:
-    if w is None or (isinstance(w, str) and w == "uniform"):
-        return sample.grid.uniform_weights()
-    if isinstance(w, str):
-        if w == "trapezoid":
-            return sample.grid.trapezoid_weights()
-        raise ValueError(f"unknown weight name {w!r}")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (sample.grid.size,):
-        raise ValueError("weight vector length does not match the grid")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    return w
-
-
 def ifd(
     sample: FunctionalSample,
     curve: PartialCurve,
@@ -247,19 +293,10 @@ def ifd(
         raise ValueError("ifd requires a fully observed sample")
     if not curve.is_fully_observed:
         raise ValueError("ifd requires a fully observed curve")
-    if len(curve) != sample.grid.size:
-        raise ValueError("curve length does not match the sample grid")
-    weights = _resolve_fixed_weights(sample, w)
-
-    T = sample.grid.size
-    depth_vals = np.empty(T)
-    for ell in range(T):
-        sorted_vals = np.sort(sample.values[:, ell])
-        k = sorted_vals.size
-        x = curve.values[ell]
-        c_le = np.searchsorted(sorted_vals, x, side="right")
-        c_lt = np.searchsorted(sorted_vals, x, side="left")
-        depth_vals[ell] = depth_from_counts(kind, c_le, c_lt, k)
+    # every point is usable: both sample and curve are fully observed
+    _, c_le, c_lt = _query_counts(sample, curve)
+    weights = _point_weights(sample, w="uniform" if w is None else w)
+    depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts)
     return float((depth_vals * weights).sum())
 
 
@@ -280,25 +317,9 @@ def k_functional(
     """
     if w is not None and phi is not None:
         raise ValueError("pass either fixed weights w or phi, not both")
-    if len(curve) != sample.grid.size:
-        raise ValueError("curve length does not match the sample grid")
-    usable = curve.mask & (sample.counts > 0)
-    if not usable.any():
-        raise ValueError("no sample curve observed on the curve's observation set")
-
-    if phi is None and w is None:
-        phi = "identity"
-    if phi is not None:
-        base = _phi_of_coverage(phi, sample.coverage)
-    else:
-        base = _resolve_fixed_weights(sample, w)
-
-    points = np.nonzero(usable)[0]
-    F = np.empty(points.size)
-    for j, ell in enumerate(points):
-        obs = sample.observed_at(ell)
-        sorted_vals = np.sort(obs)
-        F[j] = np.searchsorted(sorted_vals, curve.values[ell], side="right") / sorted_vals.size
+    points, c_le, _ = _query_counts(sample, curve)
+    base = _point_weights(sample, "identity" if phi is None else phi, w=w)
+    F = c_le / sample.counts[points]
     weights = base[points]
     norm = weights.sum()
     if norm <= 0.0:

@@ -1,14 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pofda import poifd
 from pofda.core import Grid, PartialCurve, build_sample, ecdf_at
-from pofda.depths import DepthKind, pointwise_depth
+from pofda.depths import DepthKind, depth_from_counts, pointwise_depth
 from pofda.poifd import (
     ifd,
     k_functional,
     poifd_all,
     poifd_of,
     poifd_sample,
+    pointwise_depth_field,
     resolve_phi,
 )
 
@@ -240,3 +246,132 @@ class TestKFunctional:
         )
         # F = 1/2 at both observed points regardless of renormalization
         assert k_functional(s, probe, w="uniform") == pytest.approx(0.5, abs=1e-15)
+
+
+def _column_counts(sample, ell, x):
+    """(#<= x, #< x, k) at one grid point by sorting its observed values."""
+    sorted_vals = np.sort(sample.values[sample.mask[:, ell], ell])
+    return (
+        np.searchsorted(sorted_vals, x, side="right"),
+        np.searchsorted(sorted_vals, x, side="left"),
+        sorted_vals.size,
+    )
+
+
+def _field_reference(sample, kind):
+    """Depth field by one sort per grid column."""
+    out = np.full(sample.values.shape, np.nan)
+    for ell in range(sample.grid.size):
+        col = sample.mask[:, ell]
+        if col.any():
+            out[col, ell] = depth_from_counts(
+                kind, *_column_counts(sample, ell, sample.values[col, ell])
+            )
+    return out
+
+
+def _query_reference(sample, curve, kind):
+    """Usable points of a query curve with its depths and ECDF heights there."""
+    points = np.nonzero(curve.mask & (sample.counts > 0))[0]
+    depth = np.empty(points.size)
+    F = np.empty(points.size)
+    for j, ell in enumerate(points):
+        c_le, c_lt, k = _column_counts(sample, ell, curve.values[ell])
+        depth[j] = depth_from_counts(kind, c_le, c_lt, k)
+        F[j] = c_le / k
+    return points, depth, F
+
+
+def _check_against_reference(sample, query):
+    full = build_sample(
+        sample.grid, [PartialCurve.fully_observed(np.nan_to_num(c.values)) for c in sample.curves]
+    )
+    full_query = PartialCurve.fully_observed(np.nan_to_num(query.values))
+    for kind in ALL_KINDS:
+        field = pointwise_depth_field(sample, kind)
+        assert field.tobytes() == _field_reference(sample, kind).tobytes()
+
+        points, depth, F = _query_reference(sample, query, kind)
+        cov = sample.coverage[points]
+        assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())
+        if kind is DepthKind.FRAIMAN_MUNIZ:
+            assert k_functional(sample, query) == float((F * cov).sum() / cov.sum())
+            uniform = sample.grid.uniform_weights()[points]
+            assert k_functional(sample, query, w="uniform") == float(
+                (F * uniform).sum() / uniform.sum()
+            )
+
+        _, depth, _ = _query_reference(full, full_query, kind)
+        assert ifd(full, full_query, kind) == float(
+            (depth * full.grid.uniform_weights()).sum()
+        )
+
+
+def _integer_case(values, mask, gap, query_values, query_mask):
+    """Sample and query curve on a uniform grid from raw value/mask arrays.
+
+    Column `gap`, if given, is observed by no curve; a curve left with no
+    observed point is observed at the next column instead. The query is
+    observed at the first column the sample observes.
+    """
+    values = np.asarray(values, dtype=float)
+    mask = np.array(mask, dtype=bool)
+    if gap is not None:
+        mask[:, gap] = False
+    mask[~mask.any(axis=1), (gap or 0) + 1] = True
+    grid = Grid.uniform(values.shape[1])
+    sample = build_sample(grid, [PartialCurve(v, m) for v, m in zip(values, mask)])
+    query_mask = np.array(query_mask, dtype=bool)
+    query_mask[np.flatnonzero(sample.counts)[0]] = True
+    return sample, PartialCurve(np.asarray(query_values, dtype=float), query_mask)
+
+
+@st.composite
+def _tied_cases(draw):
+    """Small integer values, so ties are frequent, with random masks."""
+    n = draw(st.integers(1, 7))
+    T = draw(st.integers(2, 9))
+
+    def matrix(elements, shape):
+        size = int(np.prod(shape))
+        return np.reshape(draw(st.lists(elements, min_size=size, max_size=size)), shape)
+
+    return _integer_case(
+        matrix(st.integers(0, 3), (n, T)),
+        matrix(st.booleans(), (n, T)),
+        draw(st.none() | st.integers(0, T - 2)),
+        matrix(st.integers(0, 3), (T,)),
+        matrix(st.booleans(), (T,)),
+    )
+
+
+def _random_tied_case(n, T, gap):
+    rng = np.random.default_rng(n * T)
+    return _integer_case(
+        rng.integers(0, 4, size=(n, T)),
+        rng.random((n, T)) < 0.6,
+        gap,
+        rng.integers(0, 4, size=T),
+        rng.random(T) < 0.7,
+    )
+
+
+class TestRankKernel:
+    @given(case=_tied_cases(), block_cells=st.sampled_from([1, 4, 16, poifd._BLOCK_CELLS]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_column_sort(self, case, block_cells):
+        with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+            _check_against_reference(*case)
+
+    @pytest.mark.parametrize(
+        "n, T, gap",
+        [
+            (1, 5, None),  # a single curve
+            (6, 8, 3),  # a column no curve observes
+            (33, 2000, 7),  # wider than one column block at n = 33
+        ],
+    )
+    def test_edge_cases(self, n, T, gap):
+        _check_against_reference(*_random_tied_case(n, T, gap))
+        if T > 100:
+            assert T > poifd._BLOCK_CELLS // n
