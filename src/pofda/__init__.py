@@ -32,6 +32,7 @@ from .simulate import (
     contaminate,
     observe,
     sample_gp,
+    simulate_sample,
 )
 from .metrics import ReplicationError, ScenarioMetrics, aggregate, integrated_error
 from .consistency import convergence_probe, default_probe_curves, population_poifd
@@ -70,6 +71,7 @@ __all__ = [
     "sample_gp",
     "contaminate",
     "observe",
+    "simulate_sample",
     "ReplicationError",
     "ScenarioMetrics",
     "integrated_error",

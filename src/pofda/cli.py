@@ -35,10 +35,7 @@ from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
-    contaminate,
-    observe,
-    sample_gp,
-    seed_sequence,
+    simulate_sample,
 )
 from .trimming import select_trim, trimmed_mean
 from .core import Grid
@@ -67,21 +64,15 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _simulated_sample(args):
-    grid = Grid.uniform(args.grid_len)
-    theta = float(args.n if args.theta is None else args.theta)
-    model = GpModel(grid=grid, theta=theta)
-    cont = ContaminationSpec(args.contamination, q=args.q, magnitude=args.magnitude)
-    obs = ObservationSpec(args.observe, p_obs=args.p_obs, n_intervals=args.n_intervals)
-    root = seed_sequence(args.seed)
-    gp_seed, cont_seed, obs_seed = root.spawn(3)
-    curves = sample_gp(model, args.n, gp_seed)
-    curves = contaminate(grid, curves, cont, cont_seed)
-    return observe(grid, curves, obs, obs_seed)
-
-
 def _cmd_simulate(args) -> int:
-    sample = _simulated_sample(args)
+    theta = float(args.n if args.theta is None else args.theta)
+    sample = simulate_sample(
+        GpModel(grid=Grid.uniform(args.grid_len), theta=theta),
+        args.n,
+        ContaminationSpec(args.contamination, q=args.q, magnitude=args.magnitude),
+        ObservationSpec(args.observe, p_obs=args.p_obs, n_intervals=args.n_intervals),
+        args.seed,
+    )
     write_curves_csv(args.out, sample)
     mask_out = args.mask_out or str(Path(args.out).with_suffix("")) + "_mask.csv"
     write_mask_csv(mask_out, sample)
@@ -121,6 +112,7 @@ def _cmd_run_scenario(args) -> int:
         "contamination": args.contamination,
         "observation": args.observe,
         "p_obs": args.p_obs,
+        "n_intervals": args.n_intervals,
         "depth": args.depth,
         "phi": args.phi,
         "theta": args.theta,
@@ -208,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contamination", choices=_CONTAMINATION_CHOICES, default=None)
     p.add_argument("--observe", choices=_OBSERVE_CHOICES, default=None)
     p.add_argument("--p-obs", type=float, default=None, dest="p_obs")
+    p.add_argument("--m", type=int, default=None, dest="n_intervals",
+                   help="interval count for --observe intervals")
     p.add_argument("--depth", choices=_DEPTH_CHOICES, default=None)
     p.add_argument("--phi", choices=_PHI_CHOICES, default=None)
     p.add_argument("--theta", type=float, default=None)

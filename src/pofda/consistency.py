@@ -145,8 +145,7 @@ def convergence_probe(
     for n in sizes:
         gp_seed = seed_sequence((seed, int(n), 0))
         obs_seed = seed_sequence((seed, int(n), 1))
-        curves = sample_gp(model, int(n), gp_seed)
-        sample = observe(grid, curves, observation, obs_seed)
+        sample = observe(grid, sample_gp(model, int(n), gp_seed), observation, obs_seed)
         emp = np.array([poifd_of(sample, x, kind, phi) for x in probes])
         out[int(n)] = float(np.max(np.abs(emp - pop)))
     return out

@@ -2,14 +2,17 @@
 
 A curve lives on a common evaluation grid 0 = t_1 < ... < t_T = 1 and is
 observed only on a subset of grid points given by a boolean mask. A
-:class:`FunctionalSample` bundles n such curves and exposes the per-point
-coverage q_n(t) = #{i : curve i observed at t} / n together with the
-pointwise empirical distributions of the observed values.
+:class:`FunctionalSample` holds n such curves as an (n, T) value matrix
+plus an (n, T) mask and exposes the per-point coverage
+q_n(t) = #{i : curve i observed at t} / n together with the pointwise
+empirical distributions of the observed values. :class:`PartialCurve` is
+the single-curve type: a query curve, or one row of a sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +28,11 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+    return _readonly(np.array(a, copy=True))
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark an array the caller owns read-only, without copying it."""
     a.flags.writeable = False
     return a
 
@@ -123,8 +130,16 @@ class PartialCurve:
     def observed_values(self) -> np.ndarray:
         return self.values[self.mask]
 
+    @classmethod
+    def _row_view(cls, values: np.ndarray, mask: np.ndarray) -> "PartialCurve":
+        # Rows of a validated FunctionalSample: adopt them as they are.
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "values", values)
+        object.__setattr__(curve, "mask", mask)
+        return curve
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """n partial curves sharing a grid, with derived per-point coverage.
 
@@ -132,37 +147,50 @@ class FunctionalSample:
     threads. `values` is the (n, T) value matrix with NaN at unobserved
     slots, `mask` the (n, T) observation matrix, `counts` the per-point
     number of observing curves #I(t), and `coverage` equals counts / n.
+    Value slots the mask leaves unobserved are overwritten with NaN.
     """
 
     grid: Grid
-    curves: tuple[PartialCurve, ...]
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    coverage: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    coverage: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        curves = tuple(self.curves)
-        if not curves:
-            raise ValueError("sample needs at least one curve")
+        values = np.asarray(self.values, dtype=float)
+        mask = np.asarray(self.mask, dtype=bool)
         T = self.grid.size
-        for j, curve in enumerate(curves):
-            if len(curve) != T:
-                raise ValueError(
-                    f"curve {j} has length {len(curve)} but the grid has {T} points"
-                )
-        mask = np.vstack([c.mask for c in curves])
-        values = np.vstack([c.values for c in curves])
+        if values.ndim != 2 or values.shape[0] == 0:
+            raise ValueError("sample needs at least one curve")
+        if values.shape[1] != T:
+            raise ValueError(
+                f"curves have length {values.shape[1]} but the grid has {T} points"
+            )
+        if mask.shape != values.shape:
+            raise ValueError("values and mask must have the same (n, T) shape")
+        unobserved = np.flatnonzero(~mask.any(axis=1))
+        if unobserved.size:
+            raise ValueError(f"curve {unobserved[0]} is unobserved everywhere")
+        if not np.all(np.isfinite(values) | ~mask):
+            raise ValueError("observed values must be finite")
         counts = mask.sum(axis=0)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "mask", _frozen(mask))
-        object.__setattr__(self, "counts", _frozen(counts))
-        object.__setattr__(self, "coverage", _frozen(counts / len(curves)))
+        # One fresh C-contiguous copy of each matrix, NaN wherever unobserved.
+        values = np.ascontiguousarray(np.where(mask, values, np.nan))
+        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "mask", _readonly(np.array(mask, order="C")))
+        object.__setattr__(self, "counts", _readonly(counts))
+        object.__setattr__(self, "coverage", _readonly(counts / values.shape[0]))
 
     @property
     def n_curves(self) -> int:
-        return len(self.curves)
+        return int(self.values.shape[0])
+
+    @cached_property
+    def curves(self) -> tuple[PartialCurve, ...]:
+        """Per-curve read-only views of the rows of `values` and `mask`."""
+        return tuple(
+            PartialCurve._row_view(v, m) for v, m in zip(self.values, self.mask)
+        )
 
     def observed_at(self, point_index: int) -> np.ndarray:
         """Observed values at one grid point, in curve order."""
@@ -208,8 +236,18 @@ class PointwiseEcdf:
 
 
 def build_sample(grid: Grid, curves: Sequence[PartialCurve]) -> FunctionalSample:
-    """Assemble partial curves into an immutable sample on a shared grid."""
-    return FunctionalSample(grid, tuple(curves))
+    """Stack partial curves into an immutable sample on a shared grid."""
+    if not curves:
+        raise ValueError("sample needs at least one curve")
+    T = grid.size
+    for j, curve in enumerate(curves):
+        if len(curve) != T:
+            raise ValueError(
+                f"curve {j} has length {len(curve)} but the grid has {T} points"
+            )
+    return FunctionalSample(
+        grid, np.vstack([c.values for c in curves]), np.vstack([c.mask for c in curves])
+    )
 
 
 def ecdf_at(sample: FunctionalSample, point_index: int) -> PointwiseEcdf:

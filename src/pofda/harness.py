@@ -22,19 +22,16 @@ from typing import Sequence
 from .core import Grid
 from .depths import DepthKind
 from .metrics import aggregate, integrated_error
-from .poifd import poifd_all
+from .poifd import poifd_all, resolve_phi
 from .simulate import (
     ContaminationKind,
     ContaminationSpec,
     GpModel,
     ObservationKind,
     ObservationSpec,
-    contaminate,
-    observe,
-    sample_gp,
-    seed_sequence,
+    simulate_sample,
 )
-from .trimming import ordinary_mean, select_trim, trimmed_mean
+from .trimming import ordinary_mean, resolved_keep_count, select_trim, trimmed_mean
 
 __all__ = [
     "ScenarioConfig",
@@ -102,6 +99,20 @@ class ScenarioConfig:
             raise ValueError("n_curves must be at least 1")
         if self.n_reps < 1:
             raise ValueError("n_reps must be at least 1")
+        # Fail here, not inside a worker process: the specs and helpers
+        # the replications use check the remaining fields.
+        self.contamination_spec()
+        self.observation_spec()
+        resolved_keep_count(self.n_curves, self.alpha)
+        resolve_phi(self.phi)
+
+    def contamination_spec(self) -> ContaminationSpec:
+        return ContaminationSpec(self.contamination, q=self.q, magnitude=self.magnitude)
+
+    def observation_spec(self) -> ObservationSpec:
+        return ObservationSpec(
+            self.observation, p_obs=self.p_obs, n_intervals=self.n_intervals
+        )
 
     @property
     def resolved_theta(self) -> float:
@@ -175,17 +186,14 @@ class ScenarioResult:
 
 def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int):
     """Simulate one replication; returns (sample, depth result, trim spec)."""
-    grid = Grid.uniform(config.grid_len)
-    model = GpModel(grid=grid, theta=config.resolved_theta)
-    cont = ContaminationSpec(config.contamination, q=config.q, magnitude=config.magnitude)
-    obs = ObservationSpec(
-        config.observation, p_obs=config.p_obs, n_intervals=config.n_intervals
+    model = GpModel(grid=Grid.uniform(config.grid_len), theta=config.resolved_theta)
+    sample = simulate_sample(
+        model,
+        config.n_curves,
+        config.contamination_spec(),
+        config.observation_spec(),
+        (config.seed, scenario_index, rep_index),
     )
-    root = seed_sequence((config.seed, scenario_index, rep_index))
-    gp_seed, cont_seed, obs_seed = root.spawn(3)
-    curves = sample_gp(model, config.n_curves, gp_seed)
-    curves = contaminate(grid, curves, cont, cont_seed)
-    sample = observe(grid, curves, obs, obs_seed)
     result = poifd_all(sample, kind=config.depth, phi=config.phi)
     trim = select_trim(result.poifd, config.alpha)
     return sample, result, trim

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FunctionalSample, Grid, PartialCurve, build_sample
+from .core import FunctionalSample, Grid
 from .trimming import LocationEstimate
 
 __all__ = [
@@ -78,9 +78,7 @@ def read_curves_csv(path) -> tuple[FunctionalSample, list[str]]:
                 observed = cell.strip() != ""
                 masks[j].append(observed)
                 cols[j].append(float(cell) if observed else np.nan)
-    grid = Grid(np.array(ts))
-    curves = [PartialCurve(np.array(c), np.array(m)) for c, m in zip(cols, masks)]
-    return build_sample(grid, curves), names
+    return FunctionalSample(Grid(np.array(ts)), np.array(cols), np.array(masks)), names
 
 
 def write_mask_csv(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FunctionalSample, build_sample
+from .core import FunctionalSample
 from .harness import ScenarioConfig, run_replication
 from .io import curve_names, write_coverage_csv, write_curves_csv
 
@@ -100,7 +100,9 @@ def plot_data(config: ScenarioConfig, out_dir, svg: bool = True) -> dict[str, Pa
 
     names = curve_names(sample.n_curves)
     kept_names = [names[i] for i in trim.kept]
-    kept_sample = build_sample(sample.grid, [sample.curves[i] for i in trim.kept])
+    kept_sample = FunctionalSample(
+        sample.grid, sample.values[trim.kept], sample.mask[trim.kept]
+    )
 
     paths = {
         "curves": out_dir / "curves.csv",

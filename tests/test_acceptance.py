@@ -262,8 +262,7 @@ def test_criterion_7_simulation_statistical_checks():
     grid = Grid.uniform(25)
     model = GpModel(grid=grid, theta=4.0)
     draws = 10_000
-    curves = sample_gp(model, draws, seed=5)
-    resid = np.vstack([c.values for c in curves]) - model.trend_values()
+    resid = sample_gp(model, draws, seed=5).values - model.trend_values()
     pair_rng = np.random.default_rng(9)
     pairs = pair_rng.integers(0, grid.size, size=(5, 2))
     for a, b in pairs:
@@ -274,7 +273,9 @@ def test_criterion_7_simulation_statistical_checks():
             problems.append(f"cov pair ({a},{b}): {sample_cov:.4f} vs {target:.4f}")
 
     fine = Grid.uniform(1001)
-    base = [PartialCurve.fully_observed(np.zeros(1001)) for _ in range(draws)]
+    base = build_sample(
+        fine, [PartialCurve.fully_observed(np.zeros(1001)) for _ in range(draws)]
+    )
     masked = observe(fine, base, ObservationSpec("centered", p_obs=0.5), seed=77)
     fractions = masked.mask.mean(axis=1)
     se = float(fractions.std(ddof=1) / math.sqrt(draws))

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import pofda.cli
 from pofda.cli import main
 from pofda.io import read_curves_csv, read_table_csv
-from pofda.harness import read_results_csv
+from pofda.harness import read_results_csv, run_scenario
 from pofda.trimming import resolved_keep_count
 
 
@@ -110,3 +111,18 @@ def test_bad_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("depth", "--depth", "banana", "--input", "x.csv")
     assert exc.value.code == 2
+
+
+def test_run_scenario_m_flag_reaches_config(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_scenario(config, index):
+        seen.append(config)
+        return run_scenario(config, index)
+
+    monkeypatch.setattr(pofda.cli, "run_scenario", fake_run_scenario)
+    code = run_cli("run-scenario", "--n", "8", "--len", "25", "--reps", "1",
+                   "--observe", "intervals", "--p-obs", "0.5", "--m", "2",
+                   "--out", str(tmp_path / "row.csv"))
+    assert code == 0
+    assert [c.n_intervals for c in seen] == [2]

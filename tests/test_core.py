@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pofda.core import Grid, PartialCurve, PointwiseEcdf, build_sample, ecdf_at
+from pofda.core import (
+    FunctionalSample,
+    Grid,
+    PartialCurve,
+    PointwiseEcdf,
+    build_sample,
+    ecdf_at,
+)
 
 from conftest import random_masked_sample
 
@@ -109,6 +116,30 @@ class TestBuildSample:
             np.testing.assert_array_equal(
                 original.observed_values(), stored.observed_values()
             )
+
+    def test_matrix_validation(self):
+        grid = Grid.uniform(3)
+        ok = np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValueError):
+            FunctionalSample(grid, np.zeros((0, 3)), np.ones((0, 3), dtype=bool))
+        with pytest.raises(ValueError):
+            FunctionalSample(grid, np.zeros((2, 4)), np.ones((2, 4), dtype=bool))
+        with pytest.raises(ValueError):
+            FunctionalSample(grid, np.zeros((2, 3)), ok[:, :2])
+        with pytest.raises(ValueError, match="curve 1 is unobserved"):
+            FunctionalSample(grid, np.zeros((2, 3)), np.array([[1, 0, 0], [0, 0, 0]], bool))
+        with pytest.raises(ValueError, match="finite"):
+            FunctionalSample(grid, np.array([[0.0, np.inf, 0.0], [0.0] * 3]), ok)
+
+    def test_matrix_input_copied_and_masked_slots_nan(self):
+        values = np.asfortranarray([[1.0, 999.0, 3.0], [np.inf, 2.0, 2.0]])
+        mask = np.asfortranarray([[True, False, True], [False, True, True]])
+        s = FunctionalSample(Grid.uniform(3), values, mask)
+        values[0, 0] = mask[0, 0] = 0
+        assert s.values[0, 0] == 1.0 and s.mask[0, 0]
+        assert np.isnan(s.values[~s.mask]).all()
+        for arr in (s.values, s.mask):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
 
     def test_arrays_immutable(self, rng):
         s = random_masked_sample(rng, 3, 4)

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from pofda.core import PartialCurve
+from pofda.simulate import _cached_factor
 from pofda.harness import (
     RESULT_COLUMNS,
     ScenarioConfig,
@@ -35,6 +38,25 @@ class TestScenarioConfig:
             ScenarioConfig(grid_len=1)
         with pytest.raises(ValueError):
             ScenarioConfig(n_reps=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"q": 1.5},
+            {"magnitude": -1.0},
+            {"alpha": 1.0},
+            {"p_obs": 0.0},
+            {"observation": "intervals", "n_intervals": 0},
+            {"phi": "cube"},
+        ],
+        ids=["q", "magnitude", "alpha", "p_obs", "n_intervals", "phi"],
+    )
+    def test_bad_field_fails_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad)
+
+    def test_callable_phi_accepted(self):
+        assert callable(ScenarioConfig(phi=np.sqrt).phi)
 
 
 class TestRunScenario:
@@ -149,3 +171,27 @@ class TestScenarioFile:
 def test_result_row_parsing_rejects_short_rows():
     with pytest.raises(ValueError):
         ScenarioResult.from_row(["1", "2"])
+
+
+def test_tables_factor_each_covariance_once_and_build_no_curves(tmp_path, monkeypatch):
+    """The seed-13 grid has two covariances (theta 50 and 80) on one grid."""
+    factorizations = []
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(
+        np.linalg, "cholesky", lambda a: factorizations.append(1) or real_cholesky(a)
+    )
+    curves = []
+    real_init = PartialCurve.__init__
+    monkeypatch.setattr(
+        PartialCurve, "__init__", lambda self, *a: curves.append(1) or real_init(self, *a)
+    )
+    real_view = PartialCurve._row_view.__func__
+    monkeypatch.setattr(
+        PartialCurve,
+        "_row_view",
+        classmethod(lambda cls, *a: curves.append(1) or real_view(cls, *a)),
+    )
+    _cached_factor.cache_clear()
+    reproduce_tables(tmp_path, seed=13, jobs=1)
+    assert len(factorizations) == 2
+    assert curves == []

@@ -1,16 +1,21 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from pofda.core import Grid, PartialCurve
+from pofda.core import Grid, PartialCurve, build_sample
 from pofda.simulate import (
     ContaminationSpec,
     GpModel,
     ObservationSpec,
+    _cached_factor,
     apply_contamination,
     contaminate,
     observe,
     sample_gp,
+    simulate_sample,
 )
 
 from conftest import count_mask_runs
@@ -27,7 +32,9 @@ def model(grid):
 
 
 def flat_curves(grid, n, level=0.0):
-    return [PartialCurve.fully_observed(np.full(grid.size, level)) for _ in range(n)]
+    return build_sample(
+        grid, [PartialCurve.fully_observed(np.full(grid.size, level)) for _ in range(n)]
+    )
 
 
 class TestGpModel:
@@ -55,8 +62,7 @@ class TestSampleGp:
     def test_deterministic(self, model):
         a = sample_gp(model, 5, seed=42)
         b = sample_gp(model, 5, seed=42)
-        for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.values, cb.values)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_per_curve_streams_are_order_independent(self, model):
         # curve i depends only on the i-th spawned child, not on n
@@ -66,21 +72,18 @@ class TestSampleGp:
         children = SeedSequence(9).spawn(4)
         for i, child in enumerate(children):
             z = default_rng(child).standard_normal(model.grid.size)
-            np.testing.assert_array_equal(curves[i].values, g + L @ z)
+            np.testing.assert_array_equal(curves.values[i], g + L @ z)
 
     def test_fully_observed_output(self, model):
-        for c in sample_gp(model, 3, seed=1):
-            assert c.is_fully_observed
+        assert sample_gp(model, 3, seed=1).mask.all()
 
     def test_near_singular_covariance_survives_jitter(self, grid):
         # theta -> 0 makes the covariance nearly all ones (rank one)
         model = GpModel(grid=grid, theta=1e-9)
-        curves = sample_gp(model, 2, seed=3)
-        assert all(np.isfinite(c.values).all() for c in curves)
+        assert np.isfinite(sample_gp(model, 2, seed=3).values).all()
 
     def test_mean_close_to_trend(self, model):
-        curves = sample_gp(model, 2000, seed=11)
-        X = np.vstack([c.values for c in curves])
+        X = sample_gp(model, 2000, seed=11).values
         dev = np.abs(X.mean(axis=0) - model.trend_values())
         assert dev.max() < 4.0 / np.sqrt(2000) * 2  # generous CLT envelope
 
@@ -89,19 +92,17 @@ class TestContaminate:
     def test_q_zero_is_identity(self, grid):
         curves = flat_curves(grid, 4, level=1.5)
         out = contaminate(grid, curves, ContaminationSpec("sym", q=0.0, magnitude=25.0), seed=5)
-        for a, b in zip(curves, out):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(curves.values, out.values)
 
     def test_magnitude_zero_is_identity(self, grid):
         curves = flat_curves(grid, 4)
         out = contaminate(grid, curves, ContaminationSpec("asym", q=1.0, magnitude=0.0), seed=5)
-        for a, b in zip(curves, out):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(curves.values, out.values)
 
     def test_none_kind_passthrough(self, grid):
         curves = flat_curves(grid, 2)
         out = contaminate(grid, curves, ContaminationSpec("none"), seed=0)
-        assert [c.values.tolist() for c in out] == [c.values.tolist() for c in curves]
+        assert out.values.tolist() == curves.values.tolist()
 
     def test_partial_forced_draws(self, grid):
         curves = flat_curves(grid, 1)
@@ -109,8 +110,8 @@ class TestContaminate:
             grid, curves, "partial", 25.0, flags=[1.0], signs=[1.0], onsets=[0.5]
         )
         shifted = grid.points >= 0.5
-        np.testing.assert_array_equal(out[0].values[shifted], 25.0)
-        np.testing.assert_array_equal(out[0].values[~shifted], 0.0)
+        np.testing.assert_array_equal(out.values[0, shifted], 25.0)
+        np.testing.assert_array_equal(out.values[0, ~shifted], 0.0)
 
     def test_sym_equals_asym_with_positive_signs(self, grid):
         curves = flat_curves(grid, 3, level=2.0)
@@ -121,29 +122,32 @@ class TestContaminate:
         asym = apply_contamination(
             grid, curves, "asym", 5.0, flags=flags, signs=[-1.0] * 3, onsets=[0.0] * 3
         )
-        for a, b in zip(sym, asym):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(sym.values, asym.values)
 
     def test_unflagged_curves_exact(self, grid):
         curves = flat_curves(grid, 2, level=3.0)
         out = apply_contamination(
             grid, curves, "sym", 25.0, flags=[0.0, 1.0], signs=[1.0, -1.0], onsets=[0.0, 0.0]
         )
-        np.testing.assert_array_equal(out[0].values, curves[0].values)
-        np.testing.assert_array_equal(out[1].values, curves[1].values - 25.0)
+        np.testing.assert_array_equal(out.values[0], curves.values[0])
+        np.testing.assert_array_equal(out.values[1], curves.values[1] - 25.0)
 
     def test_deterministic(self, grid):
         curves = flat_curves(grid, 10)
         spec = ContaminationSpec("partial", q=0.5, magnitude=7.0)
         a = contaminate(grid, curves, spec, seed=3)
         b = contaminate(grid, curves, spec, seed=3)
-        for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.values, cb.values)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_rejects_partial_curve_input(self, grid):
         partial = PartialCurve(np.zeros(grid.size), np.arange(grid.size) % 2 == 0)
         with pytest.raises(ValueError):
-            contaminate(grid, [partial], ContaminationSpec("sym", q=1.0, magnitude=1.0), seed=0)
+            contaminate(
+                grid,
+                build_sample(grid, [partial]),
+                ContaminationSpec("sym", q=1.0, magnitude=1.0),
+                seed=0,
+            )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -175,7 +179,9 @@ class TestObserve:
 
     def test_centered_fraction_near_p(self):
         grid = Grid.uniform(201)
-        curves = [PartialCurve.fully_observed(np.zeros(201)) for _ in range(2000)]
+        curves = build_sample(
+            grid, [PartialCurve.fully_observed(np.zeros(201)) for _ in range(2000)]
+        )
         s = observe(grid, curves, ObservationSpec("centered", p_obs=0.5), seed=4)
         assert abs(s.mask.mean() - 0.5) < 0.02
 
@@ -198,13 +204,15 @@ class TestObserve:
     def test_respects_existing_masks(self, grid):
         keep = grid.points <= 0.6
         base = PartialCurve(np.zeros(grid.size), keep)
-        s = observe(grid, [base] * 5, ObservationSpec("centered", p_obs=0.5), seed=9)
+        s = observe(
+            grid, build_sample(grid, [base] * 5), ObservationSpec("centered", p_obs=0.5), seed=9
+        )
         assert not s.mask[:, ~keep].any()
 
     def test_curve_length_checked(self, grid):
-        wrong = PartialCurve.fully_observed(np.zeros(grid.size + 1))
+        wrong = flat_curves(Grid.uniform(grid.size + 1), 1)
         with pytest.raises(ValueError):
-            observe(grid, [wrong], ObservationSpec("full"), seed=0)
+            observe(grid, wrong, ObservationSpec("full"), seed=0)
 
 
 def test_pipeline_determinism_end_to_end(grid):
@@ -222,3 +230,107 @@ def test_pipeline_determinism_end_to_end(grid):
     np.testing.assert_array_equal(
         a.values[a.mask], b.values[b.mask]
     )
+
+
+# sha256 of values.tobytes() + mask.tobytes() for simulate_sample(model, 9,
+# ...) with theta 6 on a 17-point grid, root seed 11, q 0.5, M 3, p_obs 0.5,
+# two intervals. Recorded from the per-curve object pipeline this one
+# replaced; a change in any stage's bytes shows up here.
+PINNED_SAMPLE_SHA256 = {
+    ("none", "full"): "63afa29c8b4135eb78752801044daca9a5b457ed1684d3169b2bc94a7f44a407",
+    ("none", "intervals"): "1ac408e08aec4b997eb32601267f8c9cd07e08503507eed490330c054c107def",
+    ("none", "centered"): "40659db69c11d24d7d712f37134b9f2b55b184bc40e9e91133fd1de9e3d266f7",
+    ("sym", "full"): "3a9e67a13c6d011d1480a7f37b3db6b55a2f6645d31dc8e829952ca80a4f8987",
+    ("sym", "intervals"): "dd346d65c50aa5a68d8f49c72dc56d65151fdc6292703c496e2b6c66a9e0acac",
+    ("sym", "centered"): "5552cc17060d2cd8beb0936e5ccfc20bcee2445306744245e92d35c2a7f92b88",
+    ("asym", "full"): "7a5aa41bc424d01b3f658f1e0c4cead5b85517f5b5a7e37894ab74bd158e7ce2",
+    ("asym", "intervals"): "ad4fdfc24c985e1825f0d0b5bdd3a523183370d5d9b66da25a505f064f97095b",
+    ("asym", "centered"): "fe093d1b46888fff3edc9e2006ceb897d50e2514b535676d692f3dcf2dbde840",
+    ("partial", "full"): "9c41683b77a7602f55be1a39bc400aff8f8029b4b003c198d1a0659cbfc63316",
+    ("partial", "intervals"): "872b2b0e3916ca249146425d5fc34697a7ae069af36649c06c0457b0dbf3619f",
+    ("partial", "centered"): "41e313c8fc0965db5af26af55a93f397fcf64ce7d1753055b95d6ebb40990fd0",
+}
+
+
+@pytest.mark.parametrize(
+    "contamination, observation",
+    list(itertools.product(["none", "sym", "asym", "partial"], ["full", "intervals", "centered"])),
+)
+def test_pipeline_bytes_pinned(contamination, observation):
+    model = GpModel(grid=Grid.uniform(17), theta=6.0)
+    s = simulate_sample(
+        model,
+        9,
+        ContaminationSpec(contamination, q=0.5, magnitude=3.0),
+        ObservationSpec(observation, p_obs=0.5, n_intervals=2),
+        root_seed=11,
+    )
+    digest = hashlib.sha256(s.values.tobytes() + s.mask.tobytes()).hexdigest()
+    assert digest == PINNED_SAMPLE_SHA256[(contamination, observation)]
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("centered", "6d0059109f01a2c737b504a6801586c4209a742af865458d35b568814b2ed43a"),
+        ("intervals", "12db368811b76d58b2186894ac46a86bc61b71f68a4ac762a398b1c00d615ad4"),
+    ],
+)
+def test_redrawn_masks_pinned(kind, digest):
+    # Curves seen only on [0.15, 0.32]: 5 (centered) and 2 (intervals) of
+    # the 12 first draws miss that window and are redrawn. Digests
+    # recorded from the per-curve loop.
+    grid = Grid.uniform(101)
+    keep = (grid.points >= 0.15) & (grid.points <= 0.32)
+    base = build_sample(grid, [PartialCurve(np.arange(101.0), keep) for _ in range(12)])
+    s = observe(grid, base, ObservationSpec(kind, p_obs=0.5, n_intervals=2), seed=21)
+    assert hashlib.sha256(s.mask.tobytes()).hexdigest() == digest
+
+
+class TestCovarianceFactorCache:
+    def test_equal_grids_share_one_factor(self):
+        a = GpModel(grid=Grid.uniform(30), theta=7.0)
+        b = GpModel(grid=Grid.uniform(30), theta=7.0)
+        assert a.grid is not b.grid
+        assert a.covariance_factor() is b.covariance_factor()
+
+    def test_same_size_other_points_or_theta_differ(self):
+        uniform = GpModel(grid=Grid.uniform(30), theta=7.0)
+        uneven = GpModel(grid=Grid(np.linspace(0.0, 1.0, 30) ** 2), theta=7.0)
+        faster = GpModel(grid=Grid.uniform(30), theta=8.0)
+        L = uniform.covariance_factor()
+        for other in (uneven, faster):
+            assert other.covariance_factor() is not L
+            np.testing.assert_array_equal(
+                other.covariance_factor(), np.linalg.cholesky(other.covariance())
+            )
+        assert not np.array_equal(uneven.covariance_factor(), L)
+        assert not np.array_equal(faster.covariance_factor(), L)
+
+    def test_factor_read_only(self):
+        L = GpModel(grid=Grid.uniform(12), theta=3.0).covariance_factor()
+        with pytest.raises(ValueError):
+            L[0, 0] = 2.0
+
+    def test_factor_is_computed_once(self, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
+        _cached_factor.cache_clear()
+        model = GpModel(grid=Grid.uniform(14), theta=5.0)
+        first = sample_gp(model, 3, seed=1)
+        second = sample_gp(GpModel(grid=Grid.uniform(14), theta=5.0), 3, seed=1)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first.values, second.values)
+
+
+def test_curves_are_read_only_row_views(model):
+    s = sample_gp(model, 4, seed=2)
+    for i, curve in enumerate(s.curves):
+        assert np.shares_memory(curve.values, s.values[i])
+        assert np.shares_memory(curve.mask, s.mask[i])
+        with pytest.raises(ValueError):
+            curve.values[0] = 0.0
+        with pytest.raises(ValueError):
+            curve.mask[0] = False
+    assert s.curves is s.curves
