@@ -259,21 +259,23 @@ class ObservationSpec:
         return math.floor((self.n_intervals - self.p_obs) / self.p_obs) + 1
 
 
-def _centered_bounds(p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # From two uniform draws per curve (last axis of u): start in
-    # [mid - p, mid) and end in (mid, mid + p] for p <= 1/2; start in
-    # [0, 1 - p) and end in (p, 1] otherwise.
-    u1, u2 = u[..., 0], u[..., 1]
+def _centered_bounds(p: float, rng: Generator) -> tuple[float, float]:
+    # start in [mid - p, mid) and end in (mid, mid + p] for p <= 1/2;
+    # start in [0, 1 - p) and end in (p, 1] otherwise.
     if p <= 0.5:
-        return (0.5 - p) + p * u1, 0.5 + p * (1.0 - u2)
-    return (1.0 - p) * u1, p + (1.0 - p) * (1.0 - u2)
+        start = (0.5 - p) + p * rng.random()
+        end = 0.5 + p * (1.0 - rng.random())
+    else:
+        start = (1.0 - p) * rng.random()
+        end = p + (1.0 - p) * (1.0 - rng.random())
+    return start, end
 
 
 def _centered_mask(pts: np.ndarray, p: float, rng: Generator) -> np.ndarray:
     if p == 1.0:
         return np.ones(pts.shape, dtype=bool)
     for _ in range(_MAX_MASK_RETRIES):
-        start, end = _centered_bounds(p, rng.random(2))
+        start, end = _centered_bounds(p, rng)
         mask = (pts >= start) & (pts <= end)
         if mask.any():
             return mask
@@ -309,24 +311,6 @@ def _draw_mask(pts: np.ndarray, spec: ObservationSpec, rng: Generator) -> np.nda
     return _intervals_mask(pts, spec.n_intervals, spec.p_obs, spec._n_cells(), rng)
 
 
-def _first_masks(
-    pts: np.ndarray, spec: ObservationSpec, children: list[SeedSequence]
-) -> np.ndarray:
-    """Each curve's first mask draw, one row per child seed."""
-    if spec.kind is ObservationKind.CENTERED_INTERVAL and spec.p_obs < 1.0:
-        # The two draws _centered_mask takes first, with the bounds
-        # compared against the grid for all curves at once.
-        u = np.array([_curve_rng(child).random(2) for child in children])
-        start, end = _centered_bounds(spec.p_obs, u)
-        return (pts >= start[:, None]) & (pts <= end[:, None])
-    # Rows filled in place: stacking a list of n row arrays instead left
-    # the n = 10^4 depth workload's peak memory ~12 MB higher.
-    masks = np.empty((len(children), pts.size), dtype=bool)
-    for i, child in enumerate(children):
-        masks[i] = _draw_mask(pts, spec, _curve_rng(child))
-    return masks
-
-
 def observe(
     grid: Grid, sample: FunctionalSample, spec: ObservationSpec, seed
 ) -> FunctionalSample:
@@ -338,12 +322,9 @@ def observe(
     if sample.grid.size != grid.size:
         raise ValueError("curve length does not match the grid")
     pts = grid.points
-    children = seed_sequence(seed).spawn(sample.n_curves)
-    mask = _first_masks(pts, spec, children) & sample.mask
-    # A row left empty is drawn again from the start of its stream, which
-    # repeats the failed first draw and then retries.
-    for i in np.flatnonzero(~mask.any(axis=1)):
-        rng = _curve_rng(children[i])
+    mask = np.empty(sample.mask.shape, dtype=bool)
+    for i, child in enumerate(seed_sequence(seed).spawn(sample.n_curves)):
+        rng = _curve_rng(child)
         for _ in range(_MAX_MASK_RETRIES):
             mask[i] = _draw_mask(pts, spec, rng) & sample.mask[i]
             if mask[i].any():
