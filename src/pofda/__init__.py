@@ -4,18 +4,10 @@ from .core import (
     FunctionalSample,
     Grid,
     PartialCurve,
-    PointwiseEcdf,
     build_sample,
-    ecdf_at,
 )
-from .depths import (
-    DepthKind,
-    fm_depth,
-    pointwise_depth,
-    simplicial_depth,
-    tukey_depth,
-)
-from .poifd import DepthResult, ifd, k_functional, poifd_all, poifd_of, poifd_sample
+from .depths import DepthKind
+from .poifd import DepthResult, ifd, k_functional, poifd_all, poifd_of
 from .trimming import (
     LocationEstimate,
     TrimSpec,
@@ -44,17 +36,10 @@ __all__ = [
     "Grid",
     "PartialCurve",
     "FunctionalSample",
-    "PointwiseEcdf",
     "build_sample",
-    "ecdf_at",
     "DepthKind",
-    "tukey_depth",
-    "simplicial_depth",
-    "fm_depth",
-    "pointwise_depth",
     "DepthResult",
     "ifd",
-    "poifd_sample",
     "poifd_of",
     "poifd_all",
     "k_functional",

@@ -31,10 +31,8 @@ from .plots import plot_data
 from .poifd import NAMED_PHI, poifd_all
 from .simulate import (
     ContaminationKind,
-    ContaminationSpec,
     GpModel,
     ObservationKind,
-    ObservationSpec,
     simulate_sample,
 )
 from .trimming import select_trim, trimmed_mean
@@ -52,26 +50,36 @@ def _add_depth_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=50, help="number of curves")
+    parser.add_argument("--n", type=int, default=50, dest="n_curves", metavar="N", help="number of curves")
     parser.add_argument("--len", type=int, default=200, dest="grid_len", help="grid size")
     parser.add_argument("--theta", type=float, default=None, help="covariance decay rate (default: n)")
     parser.add_argument("--contamination", choices=_CONTAMINATION_CHOICES, default="none")
     parser.add_argument("--q", type=float, default=0.1, help="contamination probability")
     parser.add_argument("--M", type=float, default=25.0, dest="magnitude", help="contamination magnitude")
-    parser.add_argument("--observe", choices=_OBSERVE_CHOICES, default="centered")
+    parser.add_argument("--observe", choices=_OBSERVE_CHOICES, default="centered", dest="observation")
     parser.add_argument("--m", type=int, default=3, dest="n_intervals", help="interval count for --observe intervals")
     parser.add_argument("--p-obs", type=float, default=0.5, dest="p_obs", help="expected observation proportion")
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _scenario_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
+    """`base` with every ScenarioConfig field that `args` sets (is not None)."""
+    overrides = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ScenarioConfig.__dataclass_fields__
+    }
+    return apply_overrides(base, overrides)
+
+
 def _cmd_simulate(args) -> int:
-    theta = float(args.n if args.theta is None else args.theta)
+    config = _scenario_config(args)
     sample = simulate_sample(
-        GpModel(grid=Grid.uniform(args.grid_len), theta=theta),
-        args.n,
-        ContaminationSpec(args.contamination, q=args.q, magnitude=args.magnitude),
-        ObservationSpec(args.observe, p_obs=args.p_obs, n_intervals=args.n_intervals),
-        args.seed,
+        GpModel(grid=Grid.uniform(config.grid_len), theta=config.resolved_theta),
+        config.n_curves,
+        config.contamination_spec(),
+        config.observation_spec(),
+        config.seed,
     )
     write_curves_csv(args.out, sample)
     mask_out = args.mask_out or str(Path(args.out).with_suffix("")) + "_mask.csv"
@@ -103,26 +111,10 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_run_scenario(args) -> int:
-    overrides = {
-        "grid_len": args.grid_len,
-        "n_curves": args.n,
-        "q": args.q,
-        "magnitude": args.magnitude,
-        "alpha": args.alpha,
-        "contamination": args.contamination,
-        "observation": args.observe,
-        "p_obs": args.p_obs,
-        "n_intervals": args.n_intervals,
-        "depth": args.depth,
-        "phi": args.phi,
-        "theta": args.theta,
-        "n_reps": args.reps,
-        "seed": args.seed,
-    }
     if args.config:
-        configs = [apply_overrides(c, overrides) for c in load_scenarios(args.config)]
+        configs = [_scenario_config(args, c) for c in load_scenarios(args.config)]
     else:
-        configs = [apply_overrides(ScenarioConfig(), overrides)]
+        configs = [_scenario_config(args)]
     results = [run_scenario(config, index) for index, config in enumerate(configs)]
     write_results_csv(args.out, results)
     print(f"wrote {len(results)} scenario rows to {args.out}")
@@ -134,7 +126,7 @@ def _cmd_reproduce_tables(args) -> int:
         args.out_dir,
         seed=args.seed,
         jobs=args.jobs,
-        n_reps=args.reps,
+        n_reps=args.n_reps,
         grid_len=args.grid_len,
     )
     for path in paths:
@@ -143,21 +135,7 @@ def _cmd_reproduce_tables(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    config = ScenarioConfig(
-        grid_len=args.grid_len,
-        n_curves=args.n,
-        q=args.q,
-        magnitude=args.magnitude,
-        alpha=args.alpha,
-        contamination=args.contamination,
-        observation=args.observe,
-        p_obs=args.p_obs,
-        n_intervals=args.n_intervals,
-        depth=args.depth,
-        phi=args.phi,
-        theta=args.theta,
-        seed=args.seed,
-    )
+    config = _scenario_config(args)
     paths = plot_data(config, args.out_dir, svg=not args.no_svg)
     for path in paths.values():
         print(f"wrote {path}")
@@ -192,20 +170,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-scenario", help="run scenarios from JSON config or flags")
     p.add_argument("--config", default=None, help="JSON scenario object or list")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, dest="n_curves", metavar="N")
     p.add_argument("--len", type=int, default=None, dest="grid_len")
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--M", type=float, default=None, dest="magnitude")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--contamination", choices=_CONTAMINATION_CHOICES, default=None)
-    p.add_argument("--observe", choices=_OBSERVE_CHOICES, default=None)
+    p.add_argument("--observe", choices=_OBSERVE_CHOICES, default=None, dest="observation")
     p.add_argument("--p-obs", type=float, default=None, dest="p_obs")
     p.add_argument("--m", type=int, default=None, dest="n_intervals",
                    help="interval count for --observe intervals")
     p.add_argument("--depth", choices=_DEPTH_CHOICES, default=None)
     p.add_argument("--phi", choices=_PHI_CHOICES, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--reps", type=int, default=None, dest="n_reps", metavar="REPS")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="scenario_results.csv")
     p.set_defaults(func=_cmd_run_scenario)
@@ -214,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="tables")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--reps", type=int, default=10, help="replications per scenario")
+    p.add_argument("--reps", type=int, default=10, dest="n_reps", metavar="REPS", help="replications per scenario")
     p.add_argument("--len", type=int, default=200, dest="grid_len", help="grid size")
     p.set_defaults(func=_cmd_reproduce_tables)
 

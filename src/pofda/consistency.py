@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import Grid, PartialCurve
-from .depths import DepthKind, depth_from_cdf
+from .depths import DepthKind, depth_from_counts
 from .poifd import PhiLike, _phi_of_coverage, poifd_of
 from .simulate import (
     GpModel,
@@ -93,7 +93,8 @@ def population_poifd(
     coverage = np.asarray(coverage, dtype=float)
     obs = curve.mask
     F = ndtr(curve.values[obs] - trend[obs])
-    depths = depth_from_cdf(kind, F)
+    # The marginal is atomless, so F(x-) = F(x): the count formulas with k = 1.
+    depths = depth_from_counts(kind, F, F, 1.0)
     weights = _phi_of_coverage(phi, coverage)[obs]
     norm = weights.sum()
     if norm <= 0.0:

@@ -1,12 +1,11 @@
-"""Grids, partially observed curves, and per-point empirical distributions.
+"""Grids and partially observed curves.
 
 A curve lives on a common evaluation grid 0 = t_1 < ... < t_T = 1 and is
 observed only on a subset of grid points given by a boolean mask. A
 :class:`FunctionalSample` holds n such curves as an (n, T) value matrix
 plus an (n, T) mask and exposes the per-point coverage
-q_n(t) = #{i : curve i observed at t} / n together with the pointwise
-empirical distributions of the observed values. :class:`PartialCurve` is
-the single-curve type: a query curve, or one row of a sample.
+q_n(t) = #{i : curve i observed at t} / n. :class:`PartialCurve` is the
+single-curve type: a query curve, or one row of a sample.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ __all__ = [
     "Grid",
     "PartialCurve",
     "FunctionalSample",
-    "PointwiseEcdf",
     "build_sample",
-    "ecdf_at",
 ]
 
 
@@ -120,15 +117,8 @@ class PartialCurve:
         return int(self.values.size)
 
     @property
-    def n_observed(self) -> int:
-        return int(self.mask.sum())
-
-    @property
     def is_fully_observed(self) -> bool:
         return bool(self.mask.all())
-
-    def observed_values(self) -> np.ndarray:
-        return self.values[self.mask]
 
     @classmethod
     def _row_view(cls, values: np.ndarray, mask: np.ndarray) -> "PartialCurve":
@@ -192,48 +182,6 @@ class FunctionalSample:
             PartialCurve._row_view(v, m) for v, m in zip(self.values, self.mask)
         )
 
-    def observed_at(self, point_index: int) -> np.ndarray:
-        """Observed values at one grid point, in curve order."""
-        col_mask = self.mask[:, point_index]
-        return self.values[col_mask, point_index]
-
-
-@dataclass(frozen=True)
-class PointwiseEcdf:
-    """Right-continuous empirical CDF of the observed values at one point.
-
-    All mass sits on the observed values; `cdf_left` gives the left limit
-    F(x-) so that F(x) - F(x-) equals the sample multiplicity of x.
-    """
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.sorted_values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("ecdf needs at least one observed value")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("ecdf values must be finite")
-        object.__setattr__(self, "sorted_values", _frozen(np.sort(v)))
-
-    @property
-    def size(self) -> int:
-        return int(self.sorted_values.size)
-
-    def count_le(self, x):
-        """Number of observed values <= x (scalar or array x)."""
-        return np.searchsorted(self.sorted_values, x, side="right")
-
-    def count_lt(self, x):
-        """Number of observed values < x (scalar or array x)."""
-        return np.searchsorted(self.sorted_values, x, side="left")
-
-    def cdf(self, x):
-        return self.count_le(x) / self.size
-
-    def cdf_left(self, x):
-        return self.count_lt(x) / self.size
-
 
 def build_sample(grid: Grid, curves: Sequence[PartialCurve]) -> FunctionalSample:
     """Stack partial curves into an immutable sample on a shared grid."""
@@ -248,16 +196,3 @@ def build_sample(grid: Grid, curves: Sequence[PartialCurve]) -> FunctionalSample
     return FunctionalSample(
         grid, np.vstack([c.values for c in curves]), np.vstack([c.mask for c in curves])
     )
-
-
-def ecdf_at(sample: FunctionalSample, point_index: int) -> PointwiseEcdf:
-    """Empirical distribution of the observed values at one grid point.
-
-    Raises ValueError when no curve is observed there: a coverage gap the
-    caller must handle explicitly rather than receive an empty ECDF.
-    """
-    if not 0 <= point_index < sample.grid.size:
-        raise ValueError(f"point index {point_index} out of range")
-    if sample.counts[point_index] == 0:
-        raise ValueError(f"no curve observed at grid point {point_index}")
-    return PointwiseEcdf(sample.observed_at(point_index))

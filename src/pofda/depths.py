@@ -4,7 +4,9 @@ Each sample depth is one integer-count formula with a single final
 division, so the returned float is the correctly rounded value of the
 exact rational it represents. All three depths depend on the data only
 through ECDF counts, hence are invariant under common strictly
-increasing transformations of the values and the query point.
+increasing transformations of the values and the query point. The same
+formulas give the population depth of an atomless marginal from its
+CDF values F, with F(x-) = F(x) and k = 1.
 """
 
 from __future__ import annotations
@@ -13,16 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PointwiseEcdf
-
 __all__ = [
     "DepthKind",
-    "tukey_depth",
-    "simplicial_depth",
-    "fm_depth",
-    "pointwise_depth",
     "depth_from_counts",
-    "depth_from_cdf",
 ]
 
 
@@ -59,34 +54,3 @@ _COUNT_KERNELS = {
 def depth_from_counts(kind: DepthKind, c_le, c_lt, k):
     """Sample depth from the counts (#<= x, #< x) out of k observations."""
     return _COUNT_KERNELS[DepthKind(kind)](c_le, c_lt, k)
-
-
-def tukey_depth(ecdf: PointwiseEcdf, x: float) -> float:
-    """Halfspace depth min(F(x), 1 - F(x-)) of x under the sample ECDF."""
-    return float(_tukey_counts(ecdf.count_le(x), ecdf.count_lt(x), ecdf.size))
-
-
-def simplicial_depth(ecdf: PointwiseEcdf, x: float) -> float:
-    """Probability 2 F(x)(1 - F(x-)) that a random data interval covers x."""
-    return float(_simplicial_counts(ecdf.count_le(x), ecdf.count_lt(x), ecdf.size))
-
-
-def fm_depth(ecdf: PointwiseEcdf, x: float) -> float:
-    """CDF centrality 1 - |1/2 - F(x)|; ranges over [1/2, 1]."""
-    return float(_fm_counts(ecdf.count_le(x), ecdf.count_lt(x), ecdf.size))
-
-
-def pointwise_depth(ecdf: PointwiseEcdf, x: float, kind: DepthKind) -> float:
-    """Dispatch to one of the univariate sample depths."""
-    return float(depth_from_counts(kind, ecdf.count_le(x), ecdf.count_lt(x), ecdf.size))
-
-
-def depth_from_cdf(kind: DepthKind, cdf_values):
-    """Population depth for an atomless marginal, where F(x-) = F(x)."""
-    F = np.asarray(cdf_values, dtype=float)
-    kind = DepthKind(kind)
-    if kind is DepthKind.TUKEY:
-        return np.minimum(F, 1.0 - F)
-    if kind is DepthKind.SIMPLICIAL:
-        return 2.0 * F * (1.0 - F)
-    return 1.0 - np.abs(0.5 - F)

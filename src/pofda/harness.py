@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -128,9 +128,17 @@ class ScenarioConfig:
         return cls(**data)
 
 
+# Cell parsers by declared ScenarioResult field type; float cells are
+# written with repr, so they parse back to the same value.
+_PARSE_CELL = {"int": int, "float": float, "str": str}
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One table row: scenario echo plus error summaries for both estimators."""
+    """One table row: scenario echo plus error summaries for both estimators.
+
+    Fields are the RESULT_COLUMNS, in order.
+    """
 
     grid_len: int
     n_curves: int
@@ -147,41 +155,17 @@ class ScenarioResult:
     med_trim: float
 
     def to_row(self) -> list[str]:
-        return [
-            str(self.grid_len),
-            str(self.n_curves),
-            repr(float(self.q)),
-            repr(float(self.magnitude)),
-            repr(float(self.alpha)),
-            self.pollution_type,
-            repr(float(self.observability)),
-            repr(float(self.e_mean)),
-            repr(float(self.e_trim)),
-            repr(float(self.s_dev)),
-            repr(float(self.s_trim)),
-            repr(float(self.med)),
-            repr(float(self.med_trim)),
-        ]
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            cells.append(repr(float(value)) if f.type == "float" else str(value))
+        return cells
 
     @classmethod
     def from_row(cls, row: Sequence[str]) -> "ScenarioResult":
         if len(row) != len(RESULT_COLUMNS):
             raise ValueError(f"expected {len(RESULT_COLUMNS)} columns, got {len(row)}")
-        return cls(
-            grid_len=int(row[0]),
-            n_curves=int(row[1]),
-            q=float(row[2]),
-            magnitude=float(row[3]),
-            alpha=float(row[4]),
-            pollution_type=row[5],
-            observability=float(row[6]),
-            e_mean=float(row[7]),
-            e_trim=float(row[8]),
-            s_dev=float(row[9]),
-            s_trim=float(row[10]),
-            med=float(row[11]),
-            med_trim=float(row[12]),
-        )
+        return cls(*(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(cls), row)))
 
 
 def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int):

@@ -35,6 +35,14 @@ def curve_names(n: int) -> list[str]:
     return [f"curve_{i + 1}" for i in range(n)]
 
 
+def _column_names(sample: FunctionalSample, names: Sequence[str] | None) -> list[str]:
+    """The given column names, one per curve, or curve_1 .. curve_n."""
+    names = list(names) if names is not None else curve_names(sample.n_curves)
+    if len(names) != sample.n_curves:
+        raise ValueError("one name per curve required")
+    return names
+
+
 def _open_writer(path):
     handle = open(path, "w", newline="")
     return handle, csv.writer(handle, lineterminator="\n")
@@ -44,9 +52,7 @@ def write_curves_csv(
     path, sample: FunctionalSample, names: Sequence[str] | None = None
 ) -> None:
     """Write `t,curve_1,...` rows with empty cells at unobserved points."""
-    names = list(names) if names is not None else curve_names(sample.n_curves)
-    if len(names) != sample.n_curves:
-        raise ValueError("one name per curve required")
+    names = _column_names(sample, names)
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(["t", *names])
@@ -85,7 +91,7 @@ def write_mask_csv(
     path, sample: FunctionalSample, names: Sequence[str] | None = None
 ) -> None:
     """Write the observation masks as 0/1 cells, same shape as the curve CSV."""
-    names = list(names) if names is not None else curve_names(sample.n_curves)
+    names = _column_names(sample, names)
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(["t", *names])
@@ -132,12 +138,3 @@ def write_estimate_csv(path, grid: Grid, estimate: LocationEstimate) -> None:
                     "1" if estimate.fallback_mask[ell] else "0",
                 ]
             )
-
-
-def read_table_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Generic CSV read returning (header, rows of raw strings)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    return header, rows

@@ -28,7 +28,6 @@ __all__ = [
     "resolve_phi",
     "DepthResult",
     "ifd",
-    "poifd_sample",
     "poifd_of",
     "poifd_all",
     "k_functional",
@@ -69,22 +68,16 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
 def _point_weights(
     sample: FunctionalSample,
     phi: PhiLike = "identity",
-    weighting: str = "points",
     w=None,
 ) -> np.ndarray:
     """Unnormalized per-point weights over the grid.
 
     A fixed weight vector when `w` is given ('uniform', 'trapezoid', or
     an explicit array summing to 1); otherwise the coverage weights
-    phi(q_n), trapezoid-scaled under weighting='trapezoid'.
+    phi(q_n).
     """
     if w is None:
-        base = _phi_of_coverage(phi, sample.coverage)
-        if weighting == "trapezoid":
-            return base * sample.grid.trapezoid_weights()
-        if weighting != "points":
-            raise ValueError("weighting must be 'points' or 'trapezoid'")
-        return base
+        return _phi_of_coverage(phi, sample.coverage)
     if isinstance(w, str):
         if w == "uniform":
             return sample.grid.uniform_weights()
@@ -207,7 +200,6 @@ def poifd_all(
     sample: FunctionalSample,
     kind: DepthKind = DepthKind.FRAIMAN_MUNIZ,
     phi: PhiLike = "identity",
-    weighting: str = "points",
 ) -> DepthResult:
     """Integrated depth of every curve in the sample.
 
@@ -219,12 +211,9 @@ def poifd_all(
         Univariate depth used pointwise.
     phi : str or callable
         Coverage-weight shaping function on [0, 1].
-    weighting : {'points', 'trapezoid'}
-        'points' matches the plain sum over observed grid points;
-        'trapezoid' additionally scales by trapezoid cell widths.
     """
     contributions = pointwise_depth_field(sample, kind)
-    base = _point_weights(sample, phi, weighting)
+    base = _point_weights(sample, phi)
 
     raw = np.where(sample.mask, base[None, :], 0.0)
     norms = raw.sum(axis=1)
@@ -244,37 +233,23 @@ def poifd_of(
     curve: PartialCurve,
     kind: DepthKind = DepthKind.FRAIMAN_MUNIZ,
     phi: PhiLike = "identity",
-    weighting: str = "points",
 ) -> float:
     """Integrated depth of an arbitrary (curve, mask) pair against a sample.
 
     Grid points of the curve's observation set where no sample curve is
     observed carry no empirical information and are skipped. For a curve
     belonging to the sample this never happens and the result matches
-    `poifd_sample`.
+    its entry in `poifd_all` up to rounding.
     """
     kind = DepthKind(kind)
     points, c_le, c_lt = _query_counts(sample, curve)
-    base = _point_weights(sample, phi, weighting)
+    base = _point_weights(sample, phi)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
     w = base[points]
     norm = w.sum()
     if norm <= 0.0:
         raise ValueError("degenerate phi: weights sum to zero over the observed points")
     return float((depth_vals * w).sum() / norm)
-
-
-def poifd_sample(
-    sample: FunctionalSample,
-    curve_index: int,
-    kind: DepthKind = DepthKind.FRAIMAN_MUNIZ,
-    phi: PhiLike = "identity",
-    weighting: str = "points",
-) -> float:
-    """Integrated depth of one sample curve (coverage positive by construction)."""
-    if not 0 <= curve_index < sample.n_curves:
-        raise ValueError(f"curve index {curve_index} out of range")
-    return poifd_of(sample, sample.curves[curve_index], kind, phi, weighting)
 
 
 def ifd(

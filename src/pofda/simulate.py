@@ -169,6 +169,12 @@ class ContaminationSpec:
             raise ValueError("magnitude must be finite and nonnegative")
 
 
+def _check_grid(grid: Grid, sample: FunctionalSample) -> None:
+    """Reject a stage grid other than the one the sample lives on."""
+    if not np.array_equal(grid.points, sample.grid.points):
+        raise ValueError("grid does not match the sample's grid")
+
+
 def apply_contamination(
     grid: Grid,
     sample: FunctionalSample,
@@ -185,6 +191,7 @@ def apply_contamination(
     beyond which the partial kind shifts. Curves must be fully observed:
     contamination happens before masking.
     """
+    _check_grid(grid, sample)
     kind = ContaminationKind(kind)
     flags = np.asarray(flags, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -319,8 +326,7 @@ def observe(
     Masks intersect any preexisting curve masks; a draw leaving a curve
     with no observed grid point is redrawn up to a bounded retry count.
     """
-    if sample.grid.size != grid.size:
-        raise ValueError("curve length does not match the grid")
+    _check_grid(grid, sample)
     pts = grid.points
     mask = np.empty(sample.mask.shape, dtype=bool)
     for i, child in enumerate(seed_sequence(seed).spawn(sample.n_curves)):

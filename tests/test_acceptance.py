@@ -12,10 +12,10 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from pofda.consistency import convergence_probe, default_probe_curves
-from pofda.core import Grid, PartialCurve, PointwiseEcdf, build_sample
-from pofda.depths import DepthKind, pointwise_depth
+from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
+from pofda.depths import DepthKind
 from pofda.harness import read_results_csv, reproduce_tables
-from pofda.poifd import ifd, poifd_all
+from pofda.poifd import ifd, poifd_all, poifd_of
 from pofda.simulate import GpModel, ObservationSpec, observe, sample_gp
 from pofda.trimming import ordinary_mean, select_trim, trimmed_mean
 
@@ -161,7 +161,12 @@ def test_criterion_4_trimming_oracle_equivalence():
 
 
 def test_criterion_5_depth_unit_oracles():
-    """Exact rational agreement with hand-count oracles, exhaustively."""
+    """Exact rational agreement with hand-count oracles, exhaustively.
+
+    The depth under test is `poifd_of` for a query observed only at grid
+    point 0 of a sample that observes that point fully: with coverage 1
+    there, it is exactly the pointwise sample depth.
+    """
 
     def oracle(kind, vals, x):
         k = len(vals)
@@ -174,14 +179,20 @@ def test_criterion_5_depth_unit_oracles():
         return 1 - abs(Fraction(1, 2) - c_le)
 
     queries = [x / 2 for x in range(1, 12)]  # 0.5, 1.0, ..., 5.5
+    grid = Grid.uniform(2)
+    at_point_0 = np.array([True, False])
     checked = 0
     mismatches = 0
     for k in range(1, 6):
         for vals in combinations_with_replacement(range(1, 6), k):
-            ecdf = PointwiseEcdf(np.array(vals, dtype=float))
+            values = np.array(vals, dtype=float)
+            sample = FunctionalSample(
+                grid, np.column_stack([values, values]), np.ones((k, 2), dtype=bool)
+            )
             for kind in DepthKind:
                 for x in queries:
-                    got = pointwise_depth(ecdf, x, kind)
+                    query = PartialCurve(np.array([x, 0.0]), at_point_0)
+                    got = poifd_of(sample, query, kind)
                     expected = float(oracle(kind, vals, x))
                     checked += 1
                     if got != expected:

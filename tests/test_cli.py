@@ -5,9 +5,11 @@ import pytest
 
 import pofda.cli
 from pofda.cli import main
-from pofda.io import read_curves_csv, read_table_csv
+from pofda.io import read_curves_csv
 from pofda.harness import read_results_csv, run_scenario
 from pofda.trimming import resolved_keep_count
+
+from conftest import read_csv
 
 
 def run_cli(*argv):
@@ -23,7 +25,7 @@ def test_simulate_writes_curves_and_masks(tmp_path):
     assert code == 0
     sample, names = read_curves_csv(out)
     assert sample.n_curves == 6 and sample.grid.size == 30
-    header, rows = read_table_csv(tmp_path / "curves_mask.csv")
+    header, rows = read_csv(tmp_path / "curves_mask.csv")
     assert header[0] == "t" and len(rows) == 30
 
 
@@ -35,7 +37,7 @@ def test_simulate_then_depth_then_trim(tmp_path):
                    "--out", str(curves)) == 0
     assert run_cli("depth", "--input", str(curves), "--depth", "fm",
                    "--out", str(depths)) == 0
-    header, rows = read_table_csv(depths)
+    header, rows = read_csv(depths)
     assert header == ["curve_id", "poifd"]
     vals = [float(r[1]) for r in rows]
     assert vals == sorted(vals, reverse=True)
@@ -43,7 +45,7 @@ def test_simulate_then_depth_then_trim(tmp_path):
 
     assert run_cli("trim", "--input", str(curves), "--alpha", "0.25",
                    "--out", str(trim)) == 0
-    header, rows = read_table_csv(trim)
+    header, rows = read_csv(trim)
     assert header == ["t", "estimate", "defined", "fallback"]
     assert len(rows) == 25
 
@@ -93,7 +95,7 @@ def test_plot_data_cli(tmp_path):
     assert full.n_curves == 10
     assert trimmed.n_curves == resolved_keep_count(10, 0.3)
     assert set(kept_names) <= set(names)
-    header, rows = read_table_csv(out / "coverage.csv")
+    header, rows = read_csv(out / "coverage.csv")
     q = np.array([float(r[1]) for r in rows])
     assert np.all((q >= 0) & (q <= 1))
     assert (out / "figure_full.svg").exists()

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pofda import poifd
 from pofda.core import (
     FunctionalSample,
     Grid,
     PartialCurve,
-    PointwiseEcdf,
     build_sample,
-    ecdf_at,
 )
 
 from conftest import random_masked_sample
@@ -66,8 +65,8 @@ class TestPartialCurve:
     def test_masked_slots_become_nan(self):
         c = PartialCurve(np.array([1.0, 999.0, 3.0]), np.array([True, False, True]))
         assert np.isnan(c.values[1])
-        assert c.n_observed == 2
-        np.testing.assert_array_equal(c.observed_values(), [1.0, 3.0])
+        assert c.mask.sum() == 2
+        np.testing.assert_array_equal(c.values[c.mask], [1.0, 3.0])
 
     def test_nonfinite_allowed_at_unobserved_slots(self):
         c = PartialCurve(np.array([np.nan, 2.0]), np.array([False, True]))
@@ -114,7 +113,7 @@ class TestBuildSample:
         for original, stored in zip(s.curves, build_sample(s.grid, s.curves).curves):
             np.testing.assert_array_equal(original.mask, stored.mask)
             np.testing.assert_array_equal(
-                original.observed_values(), stored.observed_values()
+                original.values[original.mask], stored.values[stored.mask]
             )
 
     def test_matrix_validation(self):
@@ -148,20 +147,36 @@ class TestBuildSample:
                 arr[0] = 0
 
 
+def _point_query(x, T=2):
+    """A query curve observed at grid point 0 only, with value x there."""
+    values = np.zeros(T)
+    values[0] = x
+    return PartialCurve(values, np.arange(T) == 0)
+
+
+def _ecdf(values, x):
+    """(F(x), F(x-)) at grid point 0 of a sample observing `values` there,
+    from the counts the depth kernels use."""
+    column = np.asarray(values, dtype=float)
+    s = FunctionalSample(
+        Grid.uniform(2), np.column_stack([column, column]), np.ones((column.size, 2), bool)
+    )
+    _, c_le, c_lt = poifd._query_counts(s, _point_query(x))
+    return c_le[0] / s.counts[0], c_lt[0] / s.counts[0]
+
+
 class TestEcdf:
+    """Pointwise empirical CDFs, read off the runtime counts (#<= x, #< x)."""
+
     def test_hand_counts(self):
-        e = PointwiseEcdf(np.array([1.0, 2.0, 3.0]))
-        assert e.cdf(2.0) == 2 / 3
-        assert e.cdf_left(2.0) == 1 / 3
+        assert _ecdf([1.0, 2.0, 3.0], 2.0) == (2 / 3, 1 / 3)
 
     def test_below_minimum(self):
-        e = PointwiseEcdf(np.array([1.0, 2.0, 3.0]))
-        assert e.cdf(0.5) == 0.0
+        assert _ecdf([1.0, 2.0, 3.0], 0.5)[0] == 0.0
 
     def test_at_and_above_maximum(self):
-        e = PointwiseEcdf(np.array([1.0, 2.0, 3.0]))
-        assert e.cdf(3.0) == 1.0
-        assert e.cdf(99.0) == 1.0
+        assert _ecdf([1.0, 2.0, 3.0], 3.0)[0] == 1.0
+        assert _ecdf([1.0, 2.0, 3.0], 99.0)[0] == 1.0
 
     def test_ecdf_at_uses_observed_only(self):
         grid = Grid.uniform(2)
@@ -170,17 +185,20 @@ class TestEcdf:
             PartialCurve(np.array([0.0, 7.0]), np.array([False, True])),
         ]
         s = build_sample(grid, curves)
-        assert ecdf_at(s, 0).size == 1
-        assert ecdf_at(s, 1).size == 2
+        np.testing.assert_array_equal(s.counts, [1, 2])
+        # the unobserved 0.0 at point 0 would count as <= 0.0
+        _, c_le, c_lt = poifd._query_counts(s, _point_query(0.0))
+        assert (c_le[0], c_lt[0]) == (0, 0)
 
     def test_ecdf_at_coverage_gap(self):
         grid = Grid.uniform(3)
         curves = [PartialCurve(np.array([1.0, 0.0, 2.0]), np.array([True, False, True]))]
         s = build_sample(grid, curves)
+        gap_only = PartialCurve(np.array([0.0, 1.0, 0.0]), np.array([False, True, False]))
         with pytest.raises(ValueError):
-            ecdf_at(s, 1)
+            poifd._query_counts(s, gap_only)
         with pytest.raises(ValueError):
-            ecdf_at(s, 7)
+            poifd._query_counts(s, _point_query(1.0, T=7))
 
     @given(
         values=st.lists(
@@ -190,8 +208,8 @@ class TestEcdf:
     )
     @settings(max_examples=60, deadline=None)
     def test_jump_equals_multiplicity(self, values, query):
-        e = PointwiseEcdf(np.array(values, dtype=float))
-        jump = e.cdf(query) - e.cdf_left(query)
+        F, F_left = _ecdf(values, query)
+        jump = F - F_left
         assert jump == pytest.approx(values.count(query) / len(values), abs=1e-15)
 
     @given(
@@ -201,10 +219,8 @@ class TestEcdf:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_bounded(self, values):
-        e = PointwiseEcdf(np.array(values))
         qs = np.sort(np.array(values + [-150.0, 150.0, 0.0]))
-        F = e.cdf(qs)
-        Fm = e.cdf_left(qs)
+        F, Fm = np.array([_ecdf(values, q) for q in qs]).T
         assert np.all(np.diff(F) >= 0)
         assert np.all((F >= 0) & (F <= 1))
         assert np.all(Fm <= F)

@@ -4,84 +4,94 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pofda.core import PointwiseEcdf
-from pofda.depths import (
-    DepthKind,
-    depth_from_cdf,
-    fm_depth,
-    pointwise_depth,
-    simplicial_depth,
-    tukey_depth,
-)
+from pofda import depths
+from pofda.depths import DepthKind, depth_from_counts
 
-E123 = PointwiseEcdf(np.array([1.0, 2.0, 3.0]))
+from conftest import depth_oracle, sorted_counts
+
+V123 = [1.0, 2.0, 3.0]
 
 
 class TestTukey:
     def test_hand_count(self):
-        assert tukey_depth(E123, 2.0) == 2 / 3
+        assert depth_oracle("tukey", V123, 2.0) == 2 / 3
 
     def test_below_all(self):
-        assert tukey_depth(E123, 0.0) == 0.0
+        assert depth_oracle("tukey", V123, 0.0) == 0.0
 
     def test_median_of_odd_sample_at_least_half(self):
-        e = PointwiseEcdf(np.array([5.0, 1.0, 9.0, 3.0, 7.0]))
-        assert tukey_depth(e, 5.0) >= 0.5
+        assert depth_oracle("tukey", [5.0, 1.0, 9.0, 3.0, 7.0], 5.0) >= 0.5
 
     def test_bounded_by_cdf(self):
         for x in (0.5, 1.0, 2.5, 3.0):
-            assert tukey_depth(E123, x) <= E123.cdf(x)
+            c_le, _, k = sorted_counts(V123, x)
+            assert depth_oracle("tukey", V123, x) <= c_le / k
 
 
 class TestSimplicial:
     def test_hand_count(self):
-        assert simplicial_depth(E123, 2.0) == 8 / 9
+        assert depth_oracle("simplicial", V123, 2.0) == 8 / 9
 
     def test_below_all(self):
-        assert simplicial_depth(E123, 0.0) == 0.0
+        assert depth_oracle("simplicial", V123, 0.0) == 0.0
 
     def test_atom_can_exceed_one(self):
         # Plug-in formula 2 F (1 - F-) tops out at 2 for a point atom.
-        e = PointwiseEcdf(np.array([2.0, 2.0]))
-        assert simplicial_depth(e, 2.0) == 2.0
+        assert depth_oracle("simplicial", [2.0, 2.0], 2.0) == 2.0
 
 
 class TestFraimanMuniz:
     def test_hand_count(self):
-        assert fm_depth(E123, 2.0) == 5 / 6
+        assert depth_oracle("fm", V123, 2.0) == 5 / 6
 
     def test_maximal_at_half(self):
-        e = PointwiseEcdf(np.array([1.0, 2.0]))
-        assert fm_depth(e, 1.0) == 1.0
+        assert depth_oracle("fm", [1.0, 2.0], 1.0) == 1.0
 
     def test_half_when_cdf_zero(self):
-        assert fm_depth(E123, 0.0) == 0.5
+        assert depth_oracle("fm", V123, 0.0) == 0.5
 
     def test_range(self):
         for x in (-5.0, 1.0, 1.7, 3.0, 9.0):
-            assert 0.5 <= fm_depth(E123, x) <= 1.0
+            assert 0.5 <= depth_oracle("fm", V123, x) <= 1.0
+
+
+def _population_depth(kind, F):
+    """Population depth of an atomless marginal: F(x-) = F(x), k = 1."""
+    return depth_from_counts(kind, F, F, 1.0)
 
 
 def test_population_depths_at_median():
-    assert depth_from_cdf(DepthKind.TUKEY, 0.5) == 0.5
-    assert depth_from_cdf(DepthKind.SIMPLICIAL, 0.5) == 0.5
-    assert depth_from_cdf(DepthKind.FRAIMAN_MUNIZ, 0.5) == 1.0
+    assert _population_depth(DepthKind.TUKEY, 0.5) == 0.5
+    assert _population_depth(DepthKind.SIMPLICIAL, 0.5) == 0.5
+    assert _population_depth(DepthKind.FRAIMAN_MUNIZ, 0.5) == 1.0
 
 
 def test_population_depth_vectorized():
     F = np.array([0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_allclose(depth_from_cdf("tukey", F), [0.0, 0.25, 0.5, 0.0])
-    np.testing.assert_allclose(depth_from_cdf("fm", F), [0.5, 0.75, 1.0, 0.5])
+    np.testing.assert_allclose(_population_depth("tukey", F), [0.0, 0.25, 0.5, 0.0])
+    np.testing.assert_allclose(_population_depth("fm", F), [0.5, 0.75, 1.0, 0.5])
+    # bit for bit the closed forms in F, subnormal F included
+    F = np.concatenate(
+        [F, [5e-324, 1e-310, 0.5 - 2**-54, 0.5 + 2**-53], np.random.default_rng(3).random(1000)]
+    )
+    closed = {
+        DepthKind.TUKEY: np.minimum(F, 1.0 - F),
+        DepthKind.SIMPLICIAL: 2.0 * F * (1.0 - F),
+        DepthKind.FRAIMAN_MUNIZ: 1.0 - np.abs(0.5 - F),
+    }
+    for kind, expected in closed.items():
+        assert _population_depth(kind, F).tobytes() == expected.tobytes()
 
 
 def test_dispatch_matches_direct():
+    counts = sorted_counts(V123, np.array([0.0, 1.0, 2.5, 3.0]))
     for kind, fn in [
-        (DepthKind.TUKEY, tukey_depth),
-        (DepthKind.SIMPLICIAL, simplicial_depth),
-        (DepthKind.FRAIMAN_MUNIZ, fm_depth),
+        (DepthKind.TUKEY, depths._tukey_counts),
+        (DepthKind.SIMPLICIAL, depths._simplicial_counts),
+        (DepthKind.FRAIMAN_MUNIZ, depths._fm_counts),
     ]:
-        for x in (0.0, 1.0, 2.5, 3.0):
-            assert pointwise_depth(E123, x, kind) == fn(E123, x)
+        for name in (kind, kind.value):
+            np.testing.assert_array_equal(depth_from_counts(name, *counts), fn(*counts))
 
 
 @given(
@@ -91,11 +101,10 @@ def test_dispatch_matches_direct():
 @settings(max_examples=80, deadline=None)
 def test_rank_invariance_under_increasing_transform(values, query):
     # Cubing integers is strictly increasing and exact in float64.
-    e = PointwiseEcdf(np.array(values, dtype=float))
-    e_t = PointwiseEcdf(np.array([v**3 for v in values], dtype=float))
+    cubed = [v**3 for v in values]
     for kind in DepthKind:
-        assert pointwise_depth(e, query, kind) == pointwise_depth(
-            e_t, float(query) ** 3, kind
+        assert depth_oracle(kind, values, query) == depth_oracle(
+            kind, cubed, float(query) ** 3
         )
 
 
@@ -106,14 +115,13 @@ def test_max_over_sample_attained_at_a_median():
     # on tie-free samples only.
     for k in range(1, 6):
         for vals in combinations_with_replacement(range(1, 6), k):
-            e = PointwiseEcdf(np.array(vals, dtype=float))
             sv = sorted(vals)
             medians = {sv[(k - 1) // 2], sv[k // 2]}
             tie_free = len(set(vals)) == len(vals)
             for kind in DepthKind:
                 if kind is not DepthKind.TUKEY and not tie_free:
                     continue
-                best = max(pointwise_depth(e, float(x), kind) for x in vals)
+                best = max(depth_oracle(kind, vals, float(x)) for x in vals)
                 assert any(
-                    pointwise_depth(e, float(m), kind) == best for m in medians
+                    depth_oracle(kind, vals, float(m)) == best for m in medians
                 ), (kind, vals)

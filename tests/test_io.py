@@ -4,7 +4,6 @@ import pytest
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.io import (
     read_curves_csv,
-    read_table_csv,
     write_coverage_csv,
     write_curves_csv,
     write_depth_csv,
@@ -13,7 +12,7 @@ from pofda.io import (
 )
 from pofda.trimming import LocationEstimate
 
-from conftest import random_masked_sample
+from conftest import random_masked_sample, read_csv
 
 
 def test_curve_roundtrip_exact(tmp_path, rng):
@@ -43,7 +42,7 @@ def test_missing_cells_empty(tmp_path):
     c = PartialCurve(np.array([1.0, 0.0, 2.0]), np.array([True, False, True]))
     path = tmp_path / "c.csv"
     write_curves_csv(path, build_sample(grid, [c]))
-    header, rows = read_table_csv(path)
+    header, rows = read_csv(path)
     assert header == ["t", "curve_1"]
     assert rows[1][1] == ""
 
@@ -67,16 +66,26 @@ def test_mask_csv(tmp_path):
     c = PartialCurve(np.array([1.0, 0.0]), np.array([True, False]))
     path = tmp_path / "m.csv"
     write_mask_csv(path, build_sample(grid, [c]))
-    header, rows = read_table_csv(path)
+    header, rows = read_csv(path)
     assert header == ["t", "curve_1"]
     assert [r[1] for r in rows] == ["1", "0"]
+
+
+def test_writers_reject_wrong_name_count(tmp_path, rng):
+    s = random_masked_sample(rng, 4, 5)
+    for write in (write_curves_csv, write_mask_csv):
+        path = tmp_path / f"{write.__name__}.csv"
+        with pytest.raises(ValueError, match="one name per curve"):
+            write(path, s, names=["a"])
+        write(path, s, names=list("abcd"))
+        assert read_csv(path)[0] == ["t", "a", "b", "c", "d"]
 
 
 def test_coverage_csv(tmp_path, rng):
     s = random_masked_sample(rng, 4, 5)
     path = tmp_path / "q.csv"
     write_coverage_csv(path, s)
-    header, rows = read_table_csv(path)
+    header, rows = read_csv(path)
     assert header == ["t", "q_n"]
     np.testing.assert_array_equal(
         np.array([float(r[1]) for r in rows]), s.coverage
@@ -86,7 +95,7 @@ def test_coverage_csv(tmp_path, rng):
 def test_depth_csv_sorted_descending(tmp_path):
     path = tmp_path / "d.csv"
     write_depth_csv(path, ["curve_1", "curve_2", "curve_3"], [0.2, 0.9, 0.5])
-    header, rows = read_table_csv(path)
+    header, rows = read_csv(path)
     assert header == ["curve_id", "poifd"]
     assert [r[0] for r in rows] == ["curve_2", "curve_3", "curve_1"]
     depths = [float(r[1]) for r in rows]
@@ -102,7 +111,7 @@ def test_estimate_csv(tmp_path):
     )
     path = tmp_path / "e.csv"
     write_estimate_csv(path, grid, est)
-    header, rows = read_table_csv(path)
+    header, rows = read_csv(path)
     assert header == ["t", "estimate", "defined", "fallback"]
     assert rows[0][1:] == ["1.0", "1", "0"]
     assert rows[1][1:] == ["", "0", "0"]

@@ -2,12 +2,12 @@ import numpy as np
 
 from pofda.core import Grid
 from pofda.harness import ScenarioConfig, run_replication
-from pofda.io import read_curves_csv, read_table_csv
+from pofda.io import read_curves_csv
 from pofda.plots import plot_data, render_sample_svg
 from pofda.simulate import GpModel
 from pofda.trimming import resolved_keep_count
 
-from conftest import random_masked_sample
+from conftest import random_masked_sample, read_csv
 
 
 def test_plot_data_files(tmp_path):
@@ -22,7 +22,7 @@ def test_plot_data_files(tmp_path):
     assert trimmed.n_curves == resolved_keep_count(12, 0.3)
     assert set(kept_names) <= set(names)
 
-    header, rows = read_table_csv(paths["coverage"])
+    header, rows = read_csv(paths["coverage"])
     assert header == ["t", "q_n"]
     q = np.array([float(r[1]) for r in rows])
     assert np.all((q >= 0.0) & (q <= 1.0))

@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pofda import poifd
-from pofda.core import Grid, PartialCurve, build_sample, ecdf_at
-from pofda.depths import DepthKind, depth_from_counts, pointwise_depth
+from pofda.core import Grid, PartialCurve, build_sample
+from pofda.depths import DepthKind, depth_from_counts
 from pofda.poifd import (
     ifd,
     k_functional,
     poifd_all,
     poifd_of,
-    poifd_sample,
     pointwise_depth_field,
     resolve_phi,
 )
 
-from conftest import constant_sample, random_masked_sample
+from conftest import constant_sample, depth_oracle, random_masked_sample, sorted_counts
 
 ALL_KINDS = list(DepthKind)
 
@@ -37,8 +36,8 @@ class TestIfd:
         ]
         s = build_sample(grid, curves)
         for kind in ALL_KINDS:
-            d0 = pointwise_depth(ecdf_at(s, 0), 1.0, kind)
-            d1 = pointwise_depth(ecdf_at(s, 1), 2.0, kind)
+            d0 = depth_oracle(kind, s.values[:, 0], 1.0)
+            d1 = depth_oracle(kind, s.values[:, 1], 2.0)
             assert ifd(s, curves[0], kind=kind) == pytest.approx((d0 + d1) / 2, abs=1e-15)
 
     def test_constant_depth_field_returns_it(self):
@@ -47,7 +46,7 @@ class TestIfd:
         grid = Grid.uniform(4)
         curves = [PartialCurve.fully_observed(np.ones(4)) for _ in range(3)]
         s = build_sample(grid, curves)
-        d = pointwise_depth(ecdf_at(s, 0), 1.0, "tukey")
+        d = depth_oracle("tukey", s.values[:, 0], 1.0)
         assert ifd(s, curves[0], kind="tukey") == pytest.approx(d, abs=1e-15)
         assert ifd(s, curves[0], kind="tukey", w="trapezoid") == pytest.approx(d, abs=1e-15)
 
@@ -71,7 +70,7 @@ class TestIfd:
 class TestPoifd:
     def test_constant_curves_fm_value(self):
         s = constant_sample([1.0, 2.0, 3.0])
-        assert poifd_sample(s, 1, kind="fm", phi="identity") == pytest.approx(
+        assert poifd_of(s, s.curves[1], kind="fm", phi="identity") == pytest.approx(
             5 / 6, abs=1e-15
         )
 
@@ -117,8 +116,8 @@ class TestPoifd:
         ]
         s = build_sample(grid, curves)
         for kind in ALL_KINDS:
-            expected = pointwise_depth(ecdf_at(s, 1), 5.5, kind)
-            assert poifd_sample(s, 2, kind=kind) == pytest.approx(expected, abs=1e-15)
+            expected = depth_oracle(kind, s.values[:, 1], 5.5)
+            assert poifd_of(s, s.curves[2], kind=kind) == pytest.approx(expected, abs=1e-15)
 
     def test_weights_normalized_and_recheckable(self, rng):
         s = random_masked_sample(rng, 9, 12)
@@ -161,7 +160,7 @@ class TestPoifd:
         s = random_masked_sample(rng, 6, 10)
         res = poifd_all(s, kind="tukey")
         for i in range(s.n_curves):
-            assert poifd_sample(s, i, kind="tukey") == pytest.approx(
+            assert poifd_of(s, s.curves[i], kind="tukey") == pytest.approx(
                 res.poifd[i], abs=1e-12
             )
 
@@ -178,13 +177,6 @@ class TestPoifd:
     def test_unknown_phi_name(self):
         with pytest.raises(ValueError):
             resolve_phi("nope")
-
-    def test_trapezoid_weighting_runs(self, rng):
-        s = random_masked_sample(rng, 5, 9)
-        d = poifd_all(s, weighting="trapezoid").poifd
-        assert np.all((d >= 0.0) & (d <= 1.0))
-        with pytest.raises(ValueError):
-            poifd_all(s, weighting="simpson")
 
     def test_poifd_of_skips_zero_coverage_points(self):
         grid = Grid.uniform(4)
@@ -250,12 +242,7 @@ class TestKFunctional:
 
 def _column_counts(sample, ell, x):
     """(#<= x, #< x, k) at one grid point by sorting its observed values."""
-    sorted_vals = np.sort(sample.values[sample.mask[:, ell], ell])
-    return (
-        np.searchsorted(sorted_vals, x, side="right"),
-        np.searchsorted(sorted_vals, x, side="left"),
-        sorted_vals.size,
-    )
+    return sorted_counts(sample.values[sample.mask[:, ell], ell], x)
 
 
 def _field_reference(sample, kind):

@@ -37,6 +37,11 @@ def flat_curves(grid, n, level=0.0):
     )
 
 
+def other_grids(grid):
+    """A grid of the same size with other points, and a grid of another size."""
+    return Grid(grid.points**2), Grid.uniform(grid.size + 1)
+
+
 class TestGpModel:
     def test_covariance_unit_diagonal(self, model):
         cov = model.covariance()
@@ -149,6 +154,14 @@ class TestContaminate:
                 seed=0,
             )
 
+    def test_rejects_other_grid(self, grid):
+        curves = flat_curves(grid, 3)
+        for other in other_grids(grid):
+            for kind in ("sym", "asym", "partial"):
+                spec = ContaminationSpec(kind, q=1.0, magnitude=1.0)
+                with pytest.raises(ValueError, match="sample's grid"):
+                    contaminate(other, curves, spec, seed=0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ContaminationSpec("sym", q=1.5, magnitude=1.0)
@@ -213,6 +226,13 @@ class TestObserve:
         wrong = flat_curves(Grid.uniform(grid.size + 1), 1)
         with pytest.raises(ValueError):
             observe(grid, wrong, ObservationSpec("full"), seed=0)
+
+    def test_rejects_other_grid(self, grid):
+        curves = flat_curves(grid, 3)
+        for other in other_grids(grid):
+            for spec in (ObservationSpec("full"), ObservationSpec("centered", p_obs=0.5)):
+                with pytest.raises(ValueError, match="sample's grid"):
+                    observe(other, curves, spec, seed=0)
 
 
 def test_pipeline_determinism_end_to_end(grid):
