@@ -29,14 +29,8 @@ from .io import (
 )
 from .plots import plot_data
 from .poifd import NAMED_PHI, poifd_all
-from .simulate import (
-    ContaminationKind,
-    GpModel,
-    ObservationKind,
-    simulate_sample,
-)
+from .simulate import ContaminationKind, ObservationKind, simulate_sample
 from .trimming import select_trim, trimmed_mean
-from .core import Grid
 
 _DEPTH_CHOICES = [k.value for k in DepthKind]
 _PHI_CHOICES = sorted(NAMED_PHI)
@@ -75,7 +69,7 @@ def _scenario_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioC
 def _cmd_simulate(args) -> int:
     config = _scenario_config(args)
     sample = simulate_sample(
-        GpModel(grid=Grid.uniform(config.grid_len), theta=config.resolved_theta),
+        config.model(),
         config.n_curves,
         config.contamination_spec(),
         config.observation_spec(),

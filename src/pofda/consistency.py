@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from .core import Grid, PartialCurve
 from .depths import DepthKind, depth_from_counts
-from .poifd import PhiLike, _phi_of_coverage, poifd_of
+from .poifd import PhiLike, _phi_of_coverage, _weighted_mean, poifd_of
 from .simulate import (
     GpModel,
     ObservationKind,
@@ -63,6 +63,8 @@ def population_coverage(
     Closed form for the full and centered mechanisms; Monte Carlo over
     `mc_draws` independent masks for random intervals.
     """
+    if mc_draws < 1:
+        raise ValueError("mc_draws must be at least 1")
     if spec.kind is ObservationKind.FULL:
         return np.ones(grid.size)
     if spec.kind is ObservationKind.CENTERED_INTERVAL:
@@ -95,11 +97,7 @@ def population_poifd(
     F = ndtr(curve.values[obs] - trend[obs])
     # The marginal is atomless, so F(x-) = F(x): the count formulas with k = 1.
     depths = depth_from_counts(kind, F, F, 1.0)
-    weights = _phi_of_coverage(phi, coverage)[obs]
-    norm = weights.sum()
-    if norm <= 0.0:
-        raise ValueError("population weights sum to zero on the observed set")
-    return float((depths * weights).sum() / norm)
+    return _weighted_mean(depths, _phi_of_coverage(phi, coverage)[obs])
 
 
 def default_probe_curves(grid: Grid) -> list[PartialCurve]:

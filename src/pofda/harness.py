@@ -29,6 +29,7 @@ from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
+    seed_sequence,
     simulate_sample,
 )
 from .trimming import ordinary_mean, resolved_keep_count, select_trim, trimmed_mean
@@ -51,7 +52,6 @@ _POLLUTION_LABEL = {
     ContaminationKind.ASYMMETRIC: "asymmetric",
     ContaminationKind.PARTIAL: "partial",
 }
-_POLLUTION_FROM_LABEL = {v: k for k, v in _POLLUTION_LABEL.items()}
 
 RESULT_COLUMNS = [
     "len",
@@ -101,6 +101,8 @@ class ScenarioConfig:
             raise ValueError("n_reps must be at least 1")
         # Fail here, not inside a worker process: the specs and helpers
         # the replications use check the remaining fields.
+        self.model()
+        seed_sequence(self.seed)
         self.contamination_spec()
         self.observation_spec()
         resolved_keep_count(self.n_curves, self.alpha)
@@ -118,6 +120,9 @@ class ScenarioConfig:
     def resolved_theta(self) -> float:
         # Covariance decay rate defaults to the curve count.
         return float(self.n_curves if self.theta is None else self.theta)
+
+    def model(self) -> GpModel:
+        return GpModel(grid=Grid.uniform(self.grid_len), theta=self.resolved_theta)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -170,9 +175,8 @@ class ScenarioResult:
 
 def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int):
     """Simulate one replication; returns (sample, depth result, trim spec)."""
-    model = GpModel(grid=Grid.uniform(config.grid_len), theta=config.resolved_theta)
     sample = simulate_sample(
-        model,
+        config.model(),
         config.n_curves,
         config.contamination_spec(),
         config.observation_spec(),
@@ -185,8 +189,7 @@ def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int)
 
 def run_scenario(config: ScenarioConfig, scenario_index: int = 0) -> ScenarioResult:
     """Run all replications of one scenario and aggregate both estimators."""
-    grid = Grid.uniform(config.grid_len)
-    truth = GpModel(grid=grid, theta=config.resolved_theta).trend_values()
+    truth = config.model().trend_values()
     plain_errors = []
     trim_errors = []
     for rep in range(config.n_reps):

@@ -48,19 +48,31 @@ def _open_writer(path):
     return handle, csv.writer(handle, lineterminator="\n")
 
 
+def _flags(mask) -> list[str]:
+    return ["1" if m else "0" for m in mask]
+
+
+def _observed(values, mask) -> list[str]:
+    """Shortest round-trip floats, empty cells where the mask is False."""
+    return [_fmt(v) if m else "" for v, m in zip(values, mask)]
+
+
+def _write_by_point(path, header: Sequence[str], grid: Grid, columns) -> None:
+    """Write the header, then per grid point `t` and that point's cell of each column."""
+    handle, writer = _open_writer(path)
+    with handle:
+        writer.writerow(header)
+        for t, *cells in zip(grid.points, *columns, strict=True):
+            writer.writerow([_fmt(t), *cells])
+
+
 def write_curves_csv(
     path, sample: FunctionalSample, names: Sequence[str] | None = None
 ) -> None:
     """Write `t,curve_1,...` rows with empty cells at unobserved points."""
     names = _column_names(sample, names)
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["t", *names])
-        for ell, t in enumerate(sample.grid.points):
-            row = [_fmt(t)]
-            for i in range(sample.n_curves):
-                row.append(_fmt(sample.values[i, ell]) if sample.mask[i, ell] else "")
-            writer.writerow(row)
+    columns = [_observed(v, m) for v, m in zip(sample.values, sample.mask)]
+    _write_by_point(path, ["t", *names], sample.grid, columns)
 
 
 def read_curves_csv(path) -> tuple[FunctionalSample, list[str]]:
@@ -92,22 +104,13 @@ def write_mask_csv(
 ) -> None:
     """Write the observation masks as 0/1 cells, same shape as the curve CSV."""
     names = _column_names(sample, names)
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["t", *names])
-        for ell, t in enumerate(sample.grid.points):
-            writer.writerow(
-                [_fmt(t), *("1" if sample.mask[i, ell] else "0" for i in range(sample.n_curves))]
-            )
+    _write_by_point(path, ["t", *names], sample.grid, [_flags(m) for m in sample.mask])
 
 
 def write_coverage_csv(path, sample: FunctionalSample) -> None:
     """Write per-point coverage `t,q_n`."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["t", "q_n"])
-        for t, q in zip(sample.grid.points, sample.coverage):
-            writer.writerow([_fmt(t), _fmt(q)])
+    coverage = [_fmt(q) for q in sample.coverage]
+    _write_by_point(path, ["t", "q_n"], sample.grid, [coverage])
 
 
 def write_depth_csv(path, names: Sequence[str], depths) -> None:
@@ -125,16 +128,9 @@ def write_depth_csv(path, names: Sequence[str], depths) -> None:
 
 def write_estimate_csv(path, grid: Grid, estimate: LocationEstimate) -> None:
     """Write `t,estimate,defined,fallback`; undefined points get empty cells."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["t", "estimate", "defined", "fallback"])
-        for ell, t in enumerate(grid.points):
-            defined = bool(estimate.defined_mask[ell])
-            writer.writerow(
-                [
-                    _fmt(t),
-                    _fmt(estimate.values[ell]) if defined else "",
-                    "1" if defined else "0",
-                    "1" if estimate.fallback_mask[ell] else "0",
-                ]
-            )
+    columns = [
+        _observed(estimate.values, estimate.defined_mask),
+        _flags(estimate.defined_mask),
+        _flags(estimate.fallback_mask),
+    ]
+    _write_by_point(path, ["t", "estimate", "defined", "fallback"], grid, columns)

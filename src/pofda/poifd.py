@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import FunctionalSample, PartialCurve, _frozen
+from .core import FunctionalSample, PartialCurve, _readonly
 from .depths import DepthKind, depth_from_counts
 
 __all__ = [
@@ -187,9 +187,9 @@ class DepthResult:
     kind: DepthKind
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poifd", _frozen(np.asarray(self.poifd, float)))
-        object.__setattr__(self, "contributions", _frozen(self.contributions))
-        object.__setattr__(self, "weights", _frozen(self.weights))
+        object.__setattr__(self, "poifd", _readonly(np.asarray(self.poifd, float)))
+        object.__setattr__(self, "contributions", _readonly(self.contributions))
+        object.__setattr__(self, "weights", _readonly(self.weights))
 
     @property
     def n_curves(self) -> int:
@@ -215,16 +215,21 @@ def poifd_all(
     contributions = pointwise_depth_field(sample, kind)
     base = _point_weights(sample, phi)
 
-    raw = np.where(sample.mask, base[None, :], 0.0)
-    norms = raw.sum(axis=1)
+    # Each (n, T) array is built once and updated in place. The temporary
+    # comes first so the kept weights, not a freed block, top the heap:
+    # malloc hands a freed top block back and faults it in on the next call.
+    weighted = np.where(sample.mask, contributions, 0.0)
+    weights = np.where(sample.mask, base, 0.0)
+    norms = weights.sum(axis=1)
     if np.any(norms <= 0.0):
         bad = int(np.nonzero(norms <= 0.0)[0][0])
         raise ValueError(
             f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
         )
-    normalized = raw / norms[:, None]
-    depths = (normalized * np.where(sample.mask, contributions, 0.0)).sum(axis=1)
-    weights = np.where(sample.mask, normalized, np.nan)
+    weights /= norms[:, None]
+    weighted *= weights
+    depths = weighted.sum(axis=1)
+    np.copyto(weights, np.nan, where=~sample.mask)
     return DepthResult(depths, contributions, weights, DepthKind(kind))
 
 
@@ -245,11 +250,15 @@ def poifd_of(
     points, c_le, c_lt = _query_counts(sample, curve)
     base = _point_weights(sample, phi)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
-    w = base[points]
-    norm = w.sum()
+    return _weighted_mean(depth_vals, base[points])
+
+
+def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum(values * weights) / sum(weights) over one curve's usable points."""
+    norm = weights.sum()
     if norm <= 0.0:
-        raise ValueError("degenerate phi: weights sum to zero over the observed points")
-    return float((depth_vals * w).sum() / norm)
+        raise ValueError("weights sum to zero over the curve's observed points")
+    return float((values * weights).sum() / norm)
 
 
 def ifd(
@@ -294,9 +303,4 @@ def k_functional(
         raise ValueError("pass either fixed weights w or phi, not both")
     points, c_le, _ = _query_counts(sample, curve)
     base = _point_weights(sample, "identity" if phi is None else phi, w=w)
-    F = c_le / sample.counts[points]
-    weights = base[points]
-    norm = weights.sum()
-    if norm <= 0.0:
-        raise ValueError("weights sum to zero over the curve's observed points")
-    return float((F * weights).sum() / norm)
+    return _weighted_mean(c_le / sample.counts[points], base[points])

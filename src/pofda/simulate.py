@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -49,9 +49,14 @@ def seed_sequence(seed) -> SeedSequence:
     return SeedSequence(seed)
 
 
-def _curve_rng(child: SeedSequence) -> Generator:
-    """The stream of one curve: default_rng(child), without its argument dispatch."""
-    return Generator(PCG64(child))
+def _curve_rngs(seed, n: int) -> Iterator[Generator]:
+    """The streams of curves 0 .. n-1, one per spawned child of the seed.
+
+    Each is default_rng(child) without its argument dispatch, built only
+    when the caller reaches its curve.
+    """
+    for child in seed_sequence(seed).spawn(n):
+        yield Generator(PCG64(child))
 
 
 def default_trend(t: np.ndarray) -> np.ndarray:
@@ -140,8 +145,8 @@ def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
     g = model.trend_values()
     T = model.grid.size
     values = np.empty((n, T))
-    for i, child in enumerate(seed_sequence(seed).spawn(n)):
-        values[i] = L @ _curve_rng(child).standard_normal(T)
+    for i, rng in enumerate(_curve_rngs(seed, n)):
+        values[i] = L @ rng.standard_normal(T)
     values += g
     return FunctionalSample(model.grid, values, np.ones((n, T), dtype=bool))
 
@@ -224,8 +229,7 @@ def contaminate(
     """
     if spec.kind is ContaminationKind.NONE:
         return sample
-    children = seed_sequence(seed).spawn(sample.n_curves)
-    u = np.array([_curve_rng(child).random(3) for child in children])
+    u = np.array([rng.random(3) for rng in _curve_rngs(seed, sample.n_curves)])
     flags = np.where(u[:, 0] < spec.q, 1.0, 0.0)
     signs = np.where(u[:, 1] < 0.5, 1.0, -1.0)
     return apply_contamination(
@@ -278,44 +282,45 @@ def _centered_bounds(p: float, rng: Generator) -> tuple[float, float]:
     return start, end
 
 
-def _centered_mask(pts: np.ndarray, p: float, rng: Generator) -> np.ndarray:
-    if p == 1.0:
-        return np.ones(pts.shape, dtype=bool)
-    for _ in range(_MAX_MASK_RETRIES):
-        start, end = _centered_bounds(p, rng)
-        mask = (pts >= start) & (pts <= end)
-        if mask.any():
-            return mask
-    raise RuntimeError("observation mask stayed empty after maximum retries")
-
-
 def _intervals_mask(
     pts: np.ndarray, m: int, p: float, cells: int, rng: Generator
 ) -> np.ndarray:
-    for _ in range(_MAX_MASK_RETRIES):
-        cuts = np.sort(rng.random(cells - 1))
-        edges = np.concatenate(([0.0], cuts, [1.0]))
-        # m non-adjacent cells, uniform over all such subsets: pick
-        # combinations from cells - m + 1 slots and re-spread.
-        picks = np.sort(rng.choice(cells - m + 1, size=m, replace=False)) + np.arange(m)
-        lengths = edges[picks + 1] - edges[picks]
-        total = lengths.sum()
-        if abs(total - p) > 0.25 * p:
-            continue
-        mask = np.zeros(pts.shape, dtype=bool)
+    """One draw of m random intervals; all False when its length is rejected."""
+    cuts = np.sort(rng.random(cells - 1))
+    edges = np.concatenate(([0.0], cuts, [1.0]))
+    # m non-adjacent cells, uniform over all such subsets: pick
+    # combinations from cells - m + 1 slots and re-spread.
+    picks = np.sort(rng.choice(cells - m + 1, size=m, replace=False)) + np.arange(m)
+    lengths = edges[picks + 1] - edges[picks]
+    mask = np.zeros(pts.shape, dtype=bool)
+    if abs(lengths.sum() - p) <= 0.25 * p:
         for j in picks:
             mask |= (pts >= edges[j]) & (pts <= edges[j + 1])
+    return mask
+
+
+def _draw_mask(
+    pts: np.ndarray, spec: ObservationSpec, rng: Generator, within: np.ndarray | bool = True
+) -> np.ndarray:
+    """A nonempty mask inside `within`: the package's one redraw loop.
+
+    A draw that is rejected or leaves no point of `within` observed is
+    redrawn from the same stream, at most _MAX_MASK_RETRIES times.
+    """
+    for _ in range(_MAX_MASK_RETRIES):
+        if spec.kind is ObservationKind.FULL:
+            mask = np.ones(pts.shape, dtype=bool)
+        elif spec.kind is ObservationKind.CENTERED_INTERVAL:
+            start, end = _centered_bounds(spec.p_obs, rng)
+            mask = (pts >= start) & (pts <= end)
+        else:
+            mask = _intervals_mask(
+                pts, spec.n_intervals, spec.p_obs, spec._n_cells(), rng
+            )
+        mask &= within
         if mask.any():
             return mask
     raise RuntimeError("observation mask stayed empty after maximum retries")
-
-
-def _draw_mask(pts: np.ndarray, spec: ObservationSpec, rng: Generator) -> np.ndarray:
-    if spec.kind is ObservationKind.FULL:
-        return np.ones(pts.shape, dtype=bool)
-    if spec.kind is ObservationKind.CENTERED_INTERVAL:
-        return _centered_mask(pts, spec.p_obs, rng)
-    return _intervals_mask(pts, spec.n_intervals, spec.p_obs, spec._n_cells(), rng)
 
 
 def observe(
@@ -327,16 +332,9 @@ def observe(
     with no observed grid point is redrawn up to a bounded retry count.
     """
     _check_grid(grid, sample)
-    pts = grid.points
     mask = np.empty(sample.mask.shape, dtype=bool)
-    for i, child in enumerate(seed_sequence(seed).spawn(sample.n_curves)):
-        rng = _curve_rng(child)
-        for _ in range(_MAX_MASK_RETRIES):
-            mask[i] = _draw_mask(pts, spec, rng) & sample.mask[i]
-            if mask[i].any():
-                break
-        else:
-            raise RuntimeError("observation mask stayed empty after maximum retries")
+    for i, rng in enumerate(_curve_rngs(seed, sample.n_curves)):
+        mask[i] = _draw_mask(grid.points, spec, rng, sample.mask[i])
     return FunctionalSample(grid, sample.values, mask)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -128,3 +129,55 @@ def test_run_scenario_m_flag_reaches_config(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "row.csv"))
     assert code == 0
     assert [c.n_intervals for c in seen] == [2]
+
+
+# sha256 of every file written by test_cli_output_bytes_pinned, keyed by
+# its path under the output directory. Recorded before the mask redraw,
+# per-curve stream and grid-table writer paths were each merged into one.
+CLI_OUTPUT_SHA256 = {
+    "centered.csv": "468f1ae05d12c74144318a06589ff09023fceec12c523d40d10e372c50e133bd",
+    "centered_depth.csv": "142a1c80dcfee78116599e89a10c92ec346562729b2d9352002fd2018a8caa6f",
+    "centered_mask.csv": "5f55317a469d41cba059f809973cb216807b55c755de948f962f459e345e1e0a",
+    "centered_p1.csv": "01b10c53ccf107c564c33b2095509e678d85105df29e0b2edd5472f8a4436ad3",
+    "centered_p1_depth.csv": "10602dc1436d87a78c8838bd87e7771ab6a71889ce7bf996d368005ebd39d79d",
+    "centered_p1_mask.csv": "d260f1796c637e35de875e50ae49a46c3fd542617c5138ac730f6e0689817837",
+    "centered_p1_trim.csv": "9b7f3576d99899ea031dc12f7c83fdc497b48dd271f1b761b778ec15dc989a3d",
+    "centered_trim.csv": "a56e1e95d5e30c1ab8a899b561d4a67c95bb8c76d25acca6e05818427dceea7e",
+    "intervals.csv": "26e9d1783a48e77d468bdc8f9c091e1be1c8468a30fa4cc7e983efb607168065",
+    "intervals_depth.csv": "d09fb734cd307b6a26352ce2a2d0a158683475393e8e2ddc00ca98fc891e7931",
+    "intervals_mask.csv": "dc7e30412ed7b3cbdf5d84e4eefd8049f8c71a5c6a71099872c8790575e9512d",
+    "intervals_trim.csv": "5914e8b73fea166e157932086cb3b38e4df5adfd55e31750d5d2897814f579a6",
+    "plots/coverage.csv": "0f39582ff52ba45dfb0fa92f9b6bf9a00628d19d772036c046ad0dee6a01f2a8",
+    "plots/curves.csv": "5a910c66bd38e6cbf4cfa57a48a3a05e84a59c61bb6f3e7e57d1cd5e867a874d",
+    "plots/figure_full.svg": "8f14040b17f4661739562942cb8464201012c32cc3e5d627dda9591a48e195b2",
+    "plots/figure_trimmed.svg": "eec4d2878a1a463875812920d74c883eca92b2b21ca1fc5badb260eb860d43e7",
+    "plots/trimmed_curves.csv": "d6658d0b166d9dfa0423db64c0e7048b9526930834a2334268c0b9ce74d9134c",
+    "scenario.csv": "8b7601d9fe1509dca507094e830e4fc7ba740221c97af85c4f775e9edaf16846",
+}
+
+
+def test_cli_output_bytes_pinned(tmp_path):
+    small = ("--n", "8", "--len", "25")
+    simulations = {
+        "centered": (),
+        "centered_p1": ("--p-obs", "1.0"),
+        "intervals": ("--contamination", "partial", "--q", "0.4",
+                      "--observe", "intervals", "--m", "2"),
+    }
+    for tag, flags in simulations.items():
+        curves = tmp_path / f"{tag}.csv"
+        assert run_cli("simulate", *small, *flags, "--seed", "3", "--out", str(curves)) == 0
+        assert run_cli("depth", "--input", str(curves),
+                       "--out", str(tmp_path / f"{tag}_depth.csv")) == 0
+        assert run_cli("trim", "--input", str(curves),
+                       "--out", str(tmp_path / f"{tag}_trim.csv")) == 0
+    assert run_cli("run-scenario", *small, "--reps", "2", "--seed", "2",
+                   "--out", str(tmp_path / "scenario.csv")) == 0
+    assert run_cli("plot-data", *small, "--contamination", "sym", "--q", "0.3",
+                   "--seed", "6", "--out-dir", str(tmp_path / "plots")) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == CLI_OUTPUT_SHA256

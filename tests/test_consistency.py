@@ -55,6 +55,26 @@ def test_population_coverage_dispatch():
     assert abs(q.mean() - 0.5) < 0.1
 
 
+def test_interval_coverage_pinned():
+    # Mask counts over 40 draws, recorded from the nested redraw loops the
+    # single one replaced: a change to the draw or rejection rule moves them.
+    q = population_coverage(
+        ObservationSpec("intervals", p_obs=0.4, n_intervals=2),
+        Grid.uniform(11),
+        mc_draws=40,
+        seed=9,
+    )
+    counts = [19, 14, 14, 18, 13, 13, 13, 13, 13, 22, 23]
+    np.testing.assert_array_equal(q, np.array(counts, dtype=float) / 40)
+
+
+@pytest.mark.parametrize("mc_draws", [0, -1])
+def test_population_coverage_needs_a_draw(mc_draws):
+    spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
+    with pytest.raises(ValueError):
+        population_coverage(spec, Grid.uniform(11), mc_draws=mc_draws)
+
+
 class TestPopulationPoifd:
     def test_trend_curve_is_deepest(self):
         grid = Grid.uniform(51)

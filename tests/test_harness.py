@@ -48,8 +48,15 @@ class TestScenarioConfig:
             {"p_obs": 0.0},
             {"observation": "intervals", "n_intervals": 0},
             {"phi": "cube"},
+            {"theta": 0.0},
+            {"theta": -3.0},
+            {"theta": float("nan")},
+            {"seed": -1},
         ],
-        ids=["q", "magnitude", "alpha", "p_obs", "n_intervals", "phi"],
+        ids=[
+            "q", "magnitude", "alpha", "p_obs", "n_intervals", "phi",
+            "theta_zero", "theta_negative", "theta_nan", "seed_negative",
+        ],
     )
     def test_bad_field_fails_at_construction(self, bad):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from pofda.simulate import (
     GpModel,
     ObservationSpec,
     _cached_factor,
+    _draw_mask,
     apply_contamination,
     contaminate,
     observe,
@@ -203,6 +204,27 @@ class TestObserve:
         s = observe(grid, flat_curves(grid, 40), spec, seed=6)
         for i in range(s.n_curves):
             assert 1 <= count_mask_runs(s.mask[i]) <= 3
+
+    def test_redraw_budget_is_per_curve(self):
+        # Centered intervals with p_obs 0.2 lie inside [0.3, 0.7], so a curve
+        # seen only at t = 0 is never hit: each draw takes two uniforms, and
+        # the curve gives up after 1000 draws, however the misses arise.
+        grid = Grid.uniform(11)
+        base = build_sample(grid, [PartialCurve(np.zeros(11), grid.points == 0.0)])
+
+        class CountingRng:
+            calls = 0
+
+            def random(self):
+                CountingRng.calls += 1
+                return 0.5
+
+        with pytest.raises(RuntimeError, match="stayed empty"):
+            _draw_mask(grid.points, ObservationSpec("centered", p_obs=0.2),
+                       CountingRng(), base.mask[0])
+        assert CountingRng.calls == 2 * 1000
+        with pytest.raises(RuntimeError, match="stayed empty"):
+            observe(grid, base, ObservationSpec("centered", p_obs=0.2), seed=1)
 
     def test_intervals_infeasible_combo_rejected(self):
         with pytest.raises(ValueError):
