@@ -32,28 +32,38 @@ from .poifd import NAMED_PHI, poifd_all
 from .simulate import ContaminationKind, ObservationKind, simulate_sample
 from .trimming import select_trim, trimmed_mean
 
-_DEPTH_CHOICES = [k.value for k in DepthKind]
-_PHI_CHOICES = sorted(NAMED_PHI)
-_CONTAMINATION_CHOICES = [k.value for k in ContaminationKind]
-_OBSERVE_CHOICES = [k.value for k in ObservationKind]
+# Every scenario flag, declared once with the ScenarioConfig field it
+# sets. None means "not given": the defaults live in ScenarioConfig.
+_FLAGS = {
+    "--n": dict(type=int, dest="n_curves", metavar="N", help="number of curves"),
+    "--len": dict(type=int, dest="grid_len", help="grid size"),
+    "--theta": dict(type=float, help="covariance decay rate (default: n)"),
+    "--contamination": dict(choices=[k.value for k in ContaminationKind]),
+    "--q": dict(type=float, help="contamination probability"),
+    "--M": dict(type=float, dest="magnitude", help="contamination magnitude"),
+    "--observe": dict(choices=[k.value for k in ObservationKind], dest="observation"),
+    "--m": dict(type=int, dest="n_intervals", help="interval count for --observe intervals"),
+    "--p-obs": dict(type=float, dest="p_obs", help="expected observation proportion"),
+    "--seed": dict(type=int),
+    "--alpha": dict(type=float, help="trimming level"),
+    "--depth": dict(choices=[k.value for k in DepthKind]),
+    "--phi": dict(choices=sorted(NAMED_PHI)),
+    "--reps": dict(type=int, dest="n_reps", metavar="REPS", help="replications per scenario"),
+}
+_SIMULATION_FLAGS = (
+    "--n", "--len", "--theta", "--contamination", "--q", "--M",
+    "--observe", "--m", "--p-obs", "--seed",
+)
+_TRIM_FLAGS = ("--alpha", "--depth", "--phi")
+
+# Bases of the commands whose defaults differ from ScenarioConfig's.
+_SIMULATE_BASE = ScenarioConfig(contamination="none")
+_PLOT_BASE = ScenarioConfig(contamination="none", alpha=0.3)
 
 
-def _add_depth_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", choices=_DEPTH_CHOICES, default=DepthKind.FRAIMAN_MUNIZ.value)
-    parser.add_argument("--phi", choices=_PHI_CHOICES, default="identity")
-
-
-def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=50, dest="n_curves", metavar="N", help="number of curves")
-    parser.add_argument("--len", type=int, default=200, dest="grid_len", help="grid size")
-    parser.add_argument("--theta", type=float, default=None, help="covariance decay rate (default: n)")
-    parser.add_argument("--contamination", choices=_CONTAMINATION_CHOICES, default="none")
-    parser.add_argument("--q", type=float, default=0.1, help="contamination probability")
-    parser.add_argument("--M", type=float, default=25.0, dest="magnitude", help="contamination magnitude")
-    parser.add_argument("--observe", choices=_OBSERVE_CHOICES, default="centered", dest="observation")
-    parser.add_argument("--m", type=int, default=3, dest="n_intervals", help="interval count for --observe intervals")
-    parser.add_argument("--p-obs", type=float, default=0.5, dest="p_obs", help="expected observation proportion")
-    parser.add_argument("--seed", type=int, default=0)
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, default=None, **_FLAGS[name])
 
 
 def _scenario_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
@@ -67,7 +77,7 @@ def _scenario_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioC
 
 
 def _cmd_simulate(args) -> int:
-    config = _scenario_config(args)
+    config = _scenario_config(args, _SIMULATE_BASE)
     sample = simulate_sample(
         config.model(),
         config.n_curves,
@@ -84,17 +94,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_depth(args) -> int:
+    config = _scenario_config(args)
     sample, names = read_curves_csv(args.input)
-    result = poifd_all(sample, kind=args.depth, phi=args.phi)
+    result = poifd_all(sample, kind=config.depth, phi=config.phi)
     write_depth_csv(args.out, names, result.poifd)
     print(f"wrote {len(names)} depths to {args.out}")
     return 0
 
 
 def _cmd_trim(args) -> int:
+    config = _scenario_config(args)
     sample, _ = read_curves_csv(args.input)
-    result = poifd_all(sample, kind=args.depth, phi=args.phi)
-    trim = select_trim(result.poifd, args.alpha)
+    result = poifd_all(sample, kind=config.depth, phi=config.phi)
+    trim = select_trim(result.poifd, config.alpha)
     estimate = trimmed_mean(sample, trim)
     write_estimate_csv(args.out, sample.grid, estimate)
     print(
@@ -116,12 +128,13 @@ def _cmd_run_scenario(args) -> int:
 
 
 def _cmd_reproduce_tables(args) -> int:
+    config = _scenario_config(args)
     paths = reproduce_tables(
         args.out_dir,
-        seed=args.seed,
+        seed=config.seed,
         jobs=args.jobs,
-        n_reps=args.n_reps,
-        grid_len=args.grid_len,
+        n_reps=config.n_reps,
+        grid_len=config.grid_len,
     )
     for path in paths:
         print(f"wrote {path}")
@@ -129,7 +142,7 @@ def _cmd_reproduce_tables(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    config = _scenario_config(args)
+    config = _scenario_config(args, _PLOT_BASE)
     paths = plot_data(config, args.out_dir, svg=not args.no_svg)
     for path in paths.values():
         print(f"wrote {path}")
@@ -144,56 +157,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate curves and write curve + mask CSVs")
-    _add_simulation_flags(p)
+    _add_flags(p, *_SIMULATION_FLAGS)
     p.add_argument("--out", default="curves.csv")
     p.add_argument("--mask-out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("depth", help="compute integrated depths from a curve CSV")
     p.add_argument("--input", required=True)
-    _add_depth_flags(p)
+    _add_flags(p, "--depth", "--phi")
     p.add_argument("--out", default="depths.csv")
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("trim", help="depth-trimmed mean from a curve CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
-    _add_depth_flags(p)
+    _add_flags(p, *_TRIM_FLAGS)
     p.add_argument("--out", default="trimmed_mean.csv")
     p.set_defaults(func=_cmd_trim)
 
     p = sub.add_parser("run-scenario", help="run scenarios from JSON config or flags")
     p.add_argument("--config", default=None, help="JSON scenario object or list")
-    p.add_argument("--n", type=int, default=None, dest="n_curves", metavar="N")
-    p.add_argument("--len", type=int, default=None, dest="grid_len")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--M", type=float, default=None, dest="magnitude")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--contamination", choices=_CONTAMINATION_CHOICES, default=None)
-    p.add_argument("--observe", choices=_OBSERVE_CHOICES, default=None, dest="observation")
-    p.add_argument("--p-obs", type=float, default=None, dest="p_obs")
-    p.add_argument("--m", type=int, default=None, dest="n_intervals",
-                   help="interval count for --observe intervals")
-    p.add_argument("--depth", choices=_DEPTH_CHOICES, default=None)
-    p.add_argument("--phi", choices=_PHI_CHOICES, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None, dest="n_reps", metavar="REPS")
-    p.add_argument("--seed", type=int, default=None)
+    _add_flags(p, *_SIMULATION_FLAGS, *_TRIM_FLAGS, "--reps")
     p.add_argument("--out", default="scenario_results.csv")
     p.set_defaults(func=_cmd_run_scenario)
 
     p = sub.add_parser("reproduce-tables", help="run the full benchmark grid")
     p.add_argument("--out-dir", default="tables")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, "--seed", "--reps", "--len")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--reps", type=int, default=10, dest="n_reps", metavar="REPS", help="replications per scenario")
-    p.add_argument("--len", type=int, default=200, dest="grid_len", help="grid size")
     p.set_defaults(func=_cmd_reproduce_tables)
 
     p = sub.add_parser("plot-data", help="export plot CSVs and SVG panels")
-    _add_simulation_flags(p)
-    p.add_argument("--alpha", type=float, default=0.3)
-    _add_depth_flags(p)
+    _add_flags(p, *_SIMULATION_FLAGS, *_TRIM_FLAGS)
     p.add_argument("--out-dir", default="plot_data")
     p.add_argument("--no-svg", action="store_true")
     p.set_defaults(func=_cmd_plot_data)

@@ -66,23 +66,6 @@ class Grid:
     def __len__(self) -> int:
         return self.size
 
-    def uniform_weights(self) -> np.ndarray:
-        """Point-mass weights 1/T per grid point; they sum to 1."""
-        return np.full(self.size, 1.0 / self.size)
-
-    def trapezoid_weights(self) -> np.ndarray:
-        """Composite trapezoid weights over [0, 1].
-
-        Strictly positive for a strictly increasing grid and summing to
-        the domain length, i.e. exactly 1.
-        """
-        pts = self.points
-        w = np.empty(pts.size)
-        w[0] = (pts[1] - pts[0]) / 2.0
-        w[-1] = (pts[-1] - pts[-2]) / 2.0
-        w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
-        return w
-
 
 @dataclass(frozen=True)
 class PartialCurve:

@@ -61,6 +61,11 @@ def aggregate(errors: Sequence[ReplicationError]) -> ScenarioMetrics:
     eis = np.sort(np.array([e.ei for e in errors], dtype=float))
     n = eis.size
     mean = float(eis.mean())
-    sdev = float(np.sqrt(np.mean((eis - mean) ** 2)))
+    # The rounded mean of equal values can differ from them in the last
+    # bit, so equal replications are given an exact zero deviation.
+    if eis[0] == eis[-1]:
+        sdev = 0.0
+    else:
+        sdev = float(np.sqrt(np.mean((eis - mean) ** 2)))
     median = float(eis[(n - 1) // 2])
     return ScenarioMetrics(e_mean=mean, s_dev=sdev, m_median=median)

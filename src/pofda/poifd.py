@@ -65,35 +65,6 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_weights(
-    sample: FunctionalSample,
-    phi: PhiLike = "identity",
-    w=None,
-) -> np.ndarray:
-    """Unnormalized per-point weights over the grid.
-
-    A fixed weight vector when `w` is given ('uniform', 'trapezoid', or
-    an explicit array summing to 1); otherwise the coverage weights
-    phi(q_n).
-    """
-    if w is None:
-        return _phi_of_coverage(phi, sample.coverage)
-    if isinstance(w, str):
-        if w == "uniform":
-            return sample.grid.uniform_weights()
-        if w == "trapezoid":
-            return sample.grid.trapezoid_weights()
-        raise ValueError(f"unknown weight name {w!r}")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (sample.grid.size,):
-        raise ValueError("weight vector length does not match the grid")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    return w
-
-
 # Grid columns ranked per pass: about this many cells, so the integer
 # temporaries stay small however large n is.
 _BLOCK_CELLS = 1 << 16
@@ -213,7 +184,7 @@ def poifd_all(
         Coverage-weight shaping function on [0, 1].
     """
     contributions = pointwise_depth_field(sample, kind)
-    base = _point_weights(sample, phi)
+    base = _phi_of_coverage(phi, sample.coverage)
 
     # Each (n, T) array is built once and updated in place. The temporary
     # comes first so the kept weights, not a freed block, top the heap:
@@ -248,7 +219,7 @@ def poifd_of(
     """
     kind = DepthKind(kind)
     points, c_le, c_lt = _query_counts(sample, curve)
-    base = _point_weights(sample, phi)
+    base = _phi_of_coverage(phi, sample.coverage)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
     return _weighted_mean(depth_vals, base[points])
 
@@ -265,12 +236,10 @@ def ifd(
     sample: FunctionalSample,
     curve: PartialCurve,
     kind: DepthKind = DepthKind.FRAIMAN_MUNIZ,
-    w=None,
 ) -> float:
     """Integrated depth of a fully observed curve in a fully observed sample.
 
-    `w` is a normalized weight vector over the grid ('uniform' default,
-    'trapezoid', or an explicit array summing to 1).
+    The pointwise depths are averaged with uniform weights 1/T over the grid.
     """
     kind = DepthKind(kind)
     if not bool(sample.mask.all()):
@@ -279,28 +248,21 @@ def ifd(
         raise ValueError("ifd requires a fully observed curve")
     # every point is usable: both sample and curve are fully observed
     _, c_le, c_lt = _query_counts(sample, curve)
-    weights = _point_weights(sample, w="uniform" if w is None else w)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts)
-    return float((depth_vals * weights).sum())
+    return float((depth_vals * (1.0 / sample.grid.size)).sum())
 
 
 def k_functional(
     sample: FunctionalSample,
     curve: PartialCurve,
-    w=None,
-    phi: PhiLike | None = None,
+    phi: PhiLike = "identity",
 ) -> float:
     """Weighted average of the raw ECDF values F_{n,t}(x(t)) along a curve.
 
-    Diagnostic companion of the integrated depths: identical weighting
-    machinery but integrating the plain ECDF height instead of a depth.
-    Exactly one weighting mode applies: a fixed weight vector `w`
-    (restricted to the curve's usable points and renormalized), or
-    coverage weights phi(q_n) when `phi` is given. Defaults to
-    phi='identity' when neither is supplied.
+    Diagnostic companion of the integrated depths: the same coverage
+    weights phi(q_n) over the curve's usable points, integrating the
+    plain ECDF height instead of a depth.
     """
-    if w is not None and phi is not None:
-        raise ValueError("pass either fixed weights w or phi, not both")
     points, c_le, _ = _query_counts(sample, curve)
-    base = _point_weights(sample, "identity" if phi is None else phi, w=w)
+    base = _phi_of_coverage(phi, sample.coverage)
     return _weighted_mean(c_le / sample.counts[points], base[points])

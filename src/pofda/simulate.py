@@ -1,6 +1,6 @@
 """Synthetic curve generation: Gaussian process draws, contamination, masking.
 
-Curves follow trend(t) plus a zero-mean Gaussian process with covariance
+Curves follow the trend 4t plus a zero-mean Gaussian process with covariance
 0.5 ** (|t - s| * theta). Contamination adds magnitude shifts to a
 random fraction of curves (symmetric or one-sided sign, full path or
 only beyond a random onset). Observation mechanisms then mask each
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -36,7 +36,6 @@ __all__ = [
     "contaminate",
     "observe",
     "simulate_sample",
-    "default_trend",
 ]
 
 _MAX_MASK_RETRIES = 1000
@@ -59,14 +58,9 @@ def _curve_rngs(seed, n: int) -> Iterator[Generator]:
         yield Generator(PCG64(child))
 
 
-def default_trend(t: np.ndarray) -> np.ndarray:
-    """Linear trend 4t used by the uncontaminated base model."""
-    return 4.0 * np.asarray(t, dtype=float)
-
-
 @dataclass(frozen=True)
 class GpModel:
-    """Gaussian process curve model: trend plus exponential-decay noise.
+    """Gaussian process curve model: linear trend 4t plus exponential-decay noise.
 
     The noise covariance is C(s, t) = 0.5 ** (|t - s| * theta) with unit
     marginal variance; larger theta decorrelates faster.
@@ -74,18 +68,14 @@ class GpModel:
 
     grid: Grid
     theta: float
-    trend: Callable[[np.ndarray], np.ndarray] = default_trend
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.theta) and self.theta > 0.0):
             raise ValueError("theta must be a positive finite rate")
 
     def trend_values(self) -> np.ndarray:
-        vals = np.asarray(self.trend(self.grid.points), dtype=float)
-        vals = np.broadcast_to(vals, self.grid.points.shape).copy()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("trend must be finite on the grid")
-        return vals
+        """The trend 4t on the grid, as a fresh array."""
+        return 4.0 * self.grid.points
 
     def covariance(self) -> np.ndarray:
         """Covariance matrix on the grid, before any jitter."""

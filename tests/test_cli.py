@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -181,3 +182,38 @@ def test_cli_output_bytes_pinned(tmp_path):
         if path.is_file()
     }
     assert digests == CLI_OUTPUT_SHA256
+
+
+# Sorted option strings of each subcommand, recorded before the scenario
+# flags were each declared once: every subcommand keeps exactly these.
+SUBCOMMAND_OPTIONS = {
+    "simulate": [
+        "--M", "--contamination", "--help", "--len", "--m", "--mask-out", "--n",
+        "--observe", "--out", "--p-obs", "--q", "--seed", "--theta", "-h",
+    ],
+    "depth": ["--depth", "--help", "--input", "--out", "--phi", "-h"],
+    "trim": ["--alpha", "--depth", "--help", "--input", "--out", "--phi", "-h"],
+    "run-scenario": [
+        "--M", "--alpha", "--config", "--contamination", "--depth", "--help",
+        "--len", "--m", "--n", "--observe", "--out", "--p-obs", "--phi", "--q",
+        "--reps", "--seed", "--theta", "-h",
+    ],
+    "reproduce-tables": [
+        "--help", "--jobs", "--len", "--out-dir", "--reps", "--seed", "-h",
+    ],
+    "plot-data": [
+        "--M", "--alpha", "--contamination", "--depth", "--help", "--len", "--m",
+        "--n", "--no-svg", "--observe", "--out-dir", "--p-obs", "--phi", "--q",
+        "--seed", "--theta", "-h",
+    ],
+}
+
+
+def test_subcommand_option_strings_pinned():
+    parser = pofda.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for action in p._actions for s in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS

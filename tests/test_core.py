@@ -35,18 +35,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array(points))
 
-    @pytest.mark.parametrize(
-        "points", [np.linspace(0, 1, 7), np.array([0.0, 0.05, 0.3, 0.31, 0.9, 1.0])]
-    )
-    def test_trapezoid_weights_positive_sum_one(self, points):
-        w = Grid(points).trapezoid_weights()
-        assert np.all(w > 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_uniform_weights_sum_one(self):
-        w = Grid.uniform(9).uniform_weights()
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
     def test_points_immutable(self):
         g = Grid.uniform(4)
         with pytest.raises(ValueError):

@@ -52,10 +52,17 @@ class TestScenarioConfig:
             {"theta": -3.0},
             {"theta": float("nan")},
             {"seed": -1},
+            {"grid_len": 25.0},
+            {"n_curves": 20.5},
+            {"observation": "intervals", "n_intervals": 2.5},
+            {"n_reps": 2.5},
+            {"n_reps": True},
         ],
         ids=[
             "q", "magnitude", "alpha", "p_obs", "n_intervals", "phi",
             "theta_zero", "theta_negative", "theta_nan", "seed_negative",
+            "grid_len_float", "n_curves_float", "n_intervals_float",
+            "n_reps_float", "n_reps_bool",
         ],
     )
     def test_bad_field_fails_at_construction(self, bad):

@@ -42,13 +42,12 @@ class TestIfd:
 
     def test_constant_depth_field_returns_it(self):
         # identical curves: the pointwise depth is the same at every t,
-        # so any normalized weighting returns that constant
+        # so its uniform average is that constant
         grid = Grid.uniform(4)
         curves = [PartialCurve.fully_observed(np.ones(4)) for _ in range(3)]
         s = build_sample(grid, curves)
         d = depth_oracle("tukey", s.values[:, 0], 1.0)
         assert ifd(s, curves[0], kind="tukey") == pytest.approx(d, abs=1e-15)
-        assert ifd(s, curves[0], kind="tukey", w="trapezoid") == pytest.approx(d, abs=1e-15)
 
     def test_rejects_partial_inputs(self):
         grid = Grid.uniform(3)
@@ -60,11 +59,6 @@ class TestIfd:
             ifd(s_partial, full)
         with pytest.raises(ValueError):
             ifd(s_full, partial)
-
-    def test_rejects_bad_weight_vector(self):
-        s = constant_sample([1.0, 2.0])
-        with pytest.raises(ValueError):
-            ifd(s, s.curves[0], w=np.array([0.9, 0.9, 0.9]))
 
 
 class TestPoifd:
@@ -205,26 +199,19 @@ class TestPoifd:
 
 class TestKFunctional:
     def test_constant_curves_uniform_weights(self):
+        # fully observed: the coverage weights are uniform
         s = constant_sample([1.0, 2.0, 3.0])
-        assert k_functional(s, s.curves[1], w="uniform") == pytest.approx(
-            2 / 3, abs=1e-15
-        )
+        assert k_functional(s, s.curves[1]) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_curve_above_all(self):
         s = constant_sample([1.0, 2.0, 3.0])
         high = PartialCurve.fully_observed([9.0, 9.0, 9.0])
-        assert k_functional(s, high, w="uniform") == 1.0
         assert k_functional(s, high, phi="identity") == 1.0
 
     def test_curve_below_all(self):
         s = constant_sample([1.0, 2.0, 3.0])
         low = PartialCurve.fully_observed([-9.0, -9.0, -9.0])
-        assert k_functional(s, low, w="uniform") == 0.0
-
-    def test_rejects_both_modes(self):
-        s = constant_sample([1.0, 2.0])
-        with pytest.raises(ValueError):
-            k_functional(s, s.curves[0], w="uniform", phi="identity")
+        assert k_functional(s, low) == 0.0
 
     def test_fixed_weights_restricted_to_observed(self):
         grid = Grid.uniform(4)
@@ -236,8 +223,9 @@ class TestKFunctional:
         probe = PartialCurve(
             np.array([1.5, 0.0, 0.0, 1.5]), np.array([True, False, False, True])
         )
-        # F = 1/2 at both observed points regardless of renormalization
-        assert k_functional(s, probe, w="uniform") == pytest.approx(0.5, abs=1e-15)
+        # fully observed sample, so the weights are uniform; F = 1/2 at
+        # both observed points regardless of renormalization
+        assert k_functional(s, probe) == pytest.approx(0.5, abs=1e-15)
 
 
 def _column_counts(sample, ell, x):
@@ -283,15 +271,10 @@ def _check_against_reference(sample, query):
         assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())
         if kind is DepthKind.FRAIMAN_MUNIZ:
             assert k_functional(sample, query) == float((F * cov).sum() / cov.sum())
-            uniform = sample.grid.uniform_weights()[points]
-            assert k_functional(sample, query, w="uniform") == float(
-                (F * uniform).sum() / uniform.sum()
-            )
 
         _, depth, _ = _query_reference(full, full_query, kind)
-        assert ifd(full, full_query, kind) == float(
-            (depth * full.grid.uniform_weights()).sum()
-        )
+        T = full.grid.size
+        assert ifd(full, full_query, kind) == float((depth * np.full(T, 1.0 / T)).sum())
 
 
 def _integer_case(values, mask, gap, query_values, query_mask):

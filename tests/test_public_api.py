@@ -1,7 +1,9 @@
-"""The public surface: what `pofda` exports and what the benchmark imports.
+"""The public surface: what `pofda` exports and what the benchmark and
+the scripts import.
 
 Adding or removing an export shows up here as a test diff, and an
-`__all__` entry left behind by a deletion fails fast.
+`__all__` entry left behind by a deletion, or a deleted name that the
+benchmark or a script still imports, fails fast.
 """
 
 import ast
@@ -49,7 +51,8 @@ PUBLIC_NAMES = [
     "trimmed_mean",
 ]
 
-BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+IMPORTING_DIRS = [ROOT / "perfbench", ROOT / "scripts"]
 
 
 def _submodules():
@@ -59,10 +62,10 @@ def _submodules():
     ]
 
 
-def _benchmark_imports():
-    """(module, name) for every `from pofda... import name` under perfbench/."""
+def _pofda_imports():
+    """(module, name) of each `from pofda... import name` in perfbench/ and scripts/."""
     found = []
-    for path in sorted(BENCHMARK_DIR.glob("*.py")):
+    for path in sorted(p for d in IMPORTING_DIRS for p in d.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pofda"):
                 found.extend((node.module, alias.name) for alias in node.names)
@@ -85,9 +88,11 @@ def test_submodule_all_resolves():
 
 
 def test_benchmark_imports_resolve():
-    imports = _benchmark_imports()
+    imports = _pofda_imports()
     # the set-up and checks import from several modules, private names included
     assert ("pofda.harness", "_POLLUTION_LABEL") in imports
     assert ("pofda.depths", "depth_from_counts") in imports
+    # and the scripts' imports, such as the consistency probe's
+    assert ("pofda.consistency", "convergence_probe") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
