@@ -16,7 +16,6 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
+    _check_integer,
     seed_sequence,
     simulate_sample,
 )
@@ -94,10 +94,8 @@ class ScenarioConfig:
         object.__setattr__(self, "contamination", ContaminationKind(self.contamination))
         object.__setattr__(self, "observation", ObservationKind(self.observation))
         object.__setattr__(self, "depth", DepthKind(self.depth))
-        for name in ("grid_len", "n_curves", "n_intervals", "n_reps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("grid_len", "n_curves", "n_reps"):
+            _check_integer(name, getattr(self, name))
         if self.grid_len < 2:
             raise ValueError("grid_len must be at least 2")
         if self.n_curves < 1:

@@ -7,9 +7,12 @@ only beyond a random onset). Observation mechanisms then mask each
 curve to a random union of grid intervals. Each stage takes and returns
 a :class:`FunctionalSample`; :func:`simulate_sample` chains all three.
 
-Every draw is keyed to (seed, curve index) through spawned seed
-sequences, so generating curves serially or in parallel yields
-bit-identical output.
+Every draw is keyed to (seed, curve index): curve i reads the stream of
+numpy's i-th spawned child of the stage seed, Generator(PCG64(child)),
+with the seeding of all n children computed in one pass. Generating
+curves serially or in parallel therefore yields bit-identical output.
+Each stage reads its curves through one generator whose state is reset
+per curve, so it consumes a curve's stream before taking the next.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -40,6 +44,25 @@ __all__ = [
 
 _MAX_MASK_RETRIES = 1000
 
+# numpy's SeedSequence hash constants (NEP 19 fixes them) and PCG64's
+# 128-bit multiplier. The uint32 ones wrap as numpy's C code does.
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer, bools included."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 def seed_sequence(seed) -> SeedSequence:
     """Normalize int / tuple / SeedSequence seeds to a SeedSequence."""
@@ -48,14 +71,102 @@ def seed_sequence(seed) -> SeedSequence:
     return SeedSequence(seed)
 
 
-def _curve_rngs(seed, n: int) -> Iterator[Generator]:
-    """The streams of curves 0 .. n-1, one per spawned child of the seed.
+def _words(x) -> list[int]:
+    """An int or nested int sequence as little-endian 32-bit words, as numpy reads seeds."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _MASK32]
+        while x > _MASK32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    return [w for v in x for w in _words(v)]
 
-    Each is default_rng(child) without its argument dispatch, built only
-    when the caller reaches its curve.
+
+def _mix_entropy(words: list, pool_size: int) -> list:
+    """SeedSequence's entropy pool from its entropy words, as pool_size words.
+
+    Each word is a uint32 scalar or a column of them; columns give one
+    pool per row. The run entropy is already padded to pool_size words.
     """
-    for child in seed_sequence(seed).spawn(n):
-        yield Generator(PCG64(child))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(w) for w in words[:pool_size]]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """SeedSequence.generate_state(n_words, uint32) from the pool words."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % len(pool)] ^ hash_const
+        hash_const = hash_const * _MULT_B
+        value = value * hash_const
+        out.append(value ^ value >> _XSHIFT)
+    return out
+
+
+def _curve_rngs(seed, n: int) -> Iterator[Generator]:
+    """The streams of curves 0 .. n-1: numpy's spawned children of the seed.
+
+    Curve i's stream is Generator(PCG64(child)) for the i-th child of
+    seed_sequence(seed).spawn(n), byte for byte, but every child's
+    SeedSequence hash and PCG64 seed step is computed in one pass over
+    n rows. A SeedSequence seed is read, not advanced: its
+    n_children_spawned is the first child index, so passing the same
+    object twice yields the same streams, as an int seed does.
+
+    One generator is yielded n times with its state reset per curve, so
+    each stream must be consumed before the next is taken.
+    """
+    seq = seed_sequence(seed)
+    first = seq.n_children_spawned
+    if first + n > 1 << 32:
+        raise ValueError(
+            f"curve streams need child indices {first} .. {first + n - 1}; "
+            "numpy spawns at most 2**32 children per seed"
+        )
+    run = _words(seq.entropy)
+    run += [0] * (seq.pool_size - len(run))
+    # Children differ only in their last entropy word, the child index:
+    # the shared words are uint32 scalars, that one a column over n rows.
+    words = [np.uint32(w) for w in run + _words(seq.spawn_key)]
+    words.append(np.arange(first, first + n, dtype=np.uint32))
+    with np.errstate(over="ignore"):
+        u32 = _generate_state(_mix_entropy(words, seq.pool_size), 8)
+    # generate_state(4, uint64) reads the 32-bit words little-endian.
+    w = [(hi.astype(np.uint64) << 32 | lo).tolist() for lo, hi in zip(u32[::2], u32[1::2])]
+    gen = Generator(PCG64())
+    for w0, w1, w2, w3 in zip(*w):
+        # PCG64's set-seed step: state = 0, step, add the initial state, step.
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -126,8 +237,10 @@ def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
     """Draw n fully observed curves trend + L z with i.i.d. normal z.
 
     Curve i is produced from the i-th spawned child of the seed, so the
-    result does not depend on generation order. Each row is its own
-    matrix-vector product: the batched Z @ L.T rounds differently.
+    result does not depend on generation order. A SeedSequence seed is
+    not advanced: passing the same object again repeats the sample, as
+    an int seed does. Each row is its own matrix-vector product: the
+    batched Z @ L.T rounds differently.
     """
     if n < 1:
         raise ValueError("need at least one curve")
@@ -243,6 +356,7 @@ class ObservationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ObservationKind(self.kind))
+        _check_integer("n_intervals", self.n_intervals)
         if not (np.isfinite(self.p_obs) and 0.0 < self.p_obs <= 1.0):
             raise ValueError("p_obs must lie in (0, 1]")
         if self.kind is ObservationKind.RANDOM_INTERVALS:

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence, default_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.simulate import (
@@ -11,6 +14,7 @@ from pofda.simulate import (
     GpModel,
     ObservationSpec,
     _cached_factor,
+    _curve_rngs,
     _draw_mask,
     apply_contamination,
     contaminate,
@@ -41,6 +45,89 @@ def flat_curves(grid, n, level=0.0):
 def other_grids(grid):
     """A grid of the same size with other points, and a grid of another size."""
     return Grid(grid.points**2), Grid.uniform(grid.size + 1)
+
+
+def stream_bytes(rng):
+    return (
+        rng.random(3).tobytes()
+        + rng.standard_normal(4).tobytes()
+        + rng.choice(50, size=5, replace=False).tobytes()
+    )
+
+
+def assert_streams_match_numpy(seed, n):
+    """_curve_rngs(seed, n) draws what numpy's spawned children draw, byte for byte."""
+    seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    fresh = SeedSequence(
+        seq.entropy,
+        spawn_key=seq.spawn_key,
+        pool_size=seq.pool_size,
+        n_children_spawned=seq.n_children_spawned,
+    )
+    expected = [stream_bytes(Generator(PCG64(child))) for child in fresh.spawn(n)]
+    assert [stream_bytes(rng) for rng in _curve_rngs(seed, n)] == expected
+
+
+class TestCurveStreams:
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 0,
+            lambda: 13,
+            lambda: 2**32 - 1,
+            lambda: 2**32,
+            lambda: 2**70 + 5,
+            lambda: (3, 2**40, 0),
+            lambda: SeedSequence(5).spawn(3)[2],
+            lambda: SeedSequence(5).spawn(3)[1].spawn(4)[3],
+            lambda: SeedSequence(7, n_children_spawned=9),
+            lambda: SeedSequence(3, pool_size=8),
+            lambda: SeedSequence(tuple(range(1, 11)), spawn_key=(4,), pool_size=8),
+        ],
+        ids=[
+            "zero", "int", "int_max32", "int_2_32", "int_wide", "tuple",
+            "child", "nested_child", "children_spawned", "pool_8", "long_entropy_pool_8",
+        ],
+    )
+    def test_named_seeds_match_numpy(self, make_seed):
+        for n in (1, 2, 9):
+            assert_streams_match_numpy(make_seed(), n)
+
+    @given(
+        entropy=st.one_of(
+            st.integers(0, 2**128),
+            st.lists(st.integers(0, 2**64), max_size=10).map(tuple),
+        ),
+        spawn_key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+        pool_size=st.sampled_from([4, 5, 8]),
+        spawned=st.integers(0, 10**6),
+        n=st.integers(1, 12),
+        as_sequence=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_streams_match_numpy(self, entropy, spawn_key, pool_size, spawned, n, as_sequence):
+        # Fails loudly if numpy ever changes its seeding instead of
+        # silently changing every simulated byte.
+        seed = (
+            SeedSequence(
+                entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned
+            )
+            if as_sequence
+            else entropy
+        )
+        assert_streams_match_numpy(seed, n)
+
+    def test_last_child_below_2_32_matches_numpy(self):
+        seq = SeedSequence(0, n_children_spawned=2**32 - 2)
+        got = [stream_bytes(rng) for rng in _curve_rngs(seq, 2)]
+        children = [SeedSequence(0, spawn_key=(2**32 - 2 + i,)) for i in range(2)]
+        assert got == [stream_bytes(Generator(PCG64(c))) for c in children]
+
+    def test_child_index_2_32_rejected(self):
+        # numpy keeps n_children_spawned in 32 bits: it refuses 2**32 at
+        # construction, so index 2**32 is reached by spawning past it.
+        with pytest.raises(ValueError, match=re.escape("2**32")):
+            next(_curve_rngs(SeedSequence(0, n_children_spawned=2**32 - 1), 2))
 
 
 class TestGpModel:
@@ -79,6 +166,15 @@ class TestSampleGp:
         for i, child in enumerate(children):
             z = default_rng(child).standard_normal(model.grid.size)
             np.testing.assert_array_equal(curves.values[i], g + L @ z)
+
+    def test_reused_seed_sequence_gives_same_sample(self, model):
+        # A SeedSequence seed is read, not spawned from: reusing the object
+        # repeats the sample, as reusing an int seed does.
+        seq = SeedSequence(42)
+        first = sample_gp(model, 5, seq)
+        np.testing.assert_array_equal(first.values, sample_gp(model, 5, seq).values)
+        np.testing.assert_array_equal(first.values, sample_gp(model, 5, 42).values)
+        assert seq.n_children_spawned == 0
 
     def test_fully_observed_output(self, model):
         assert sample_gp(model, 3, seed=1).mask.all()
@@ -225,6 +321,13 @@ class TestObserve:
         assert CountingRng.calls == 2 * 1000
         with pytest.raises(RuntimeError, match="stayed empty"):
             observe(grid, base, ObservationSpec("centered", p_obs=0.2), seed=1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_n_intervals_must_be_integer(self, bad):
+        message = re.escape(f"n_intervals must be an integer, got {bad!r}")
+        for kind in ("intervals", "centered"):
+            with pytest.raises(ValueError, match=message):
+                ObservationSpec(kind, p_obs=0.5, n_intervals=bad)
 
     def test_intervals_infeasible_combo_rejected(self):
         with pytest.raises(ValueError):
