@@ -11,8 +11,11 @@ Every draw is keyed to (seed, curve index): curve i reads the stream of
 numpy's i-th spawned child of the stage seed, Generator(PCG64(child)),
 with the seeding of all n children computed in one pass. Generating
 curves serially or in parallel therefore yields bit-identical output.
-Each stage reads its curves through one generator whose state is reset
-per curve, so it consumes a curve's stream before taking the next.
+Contamination and masks are drawn from the curves' PCG64 streams in one
+vectorized pass over all rows (`_Streams`), byte-equal to what numpy's
+Generator draws per curve; `_draw_mask` is that per-curve reference.
+`sample_gp` still reads one Generator per curve, whose state is reset
+per curve, because its ziggurat normals need numpy's own tables.
 """
 
 from __future__ import annotations
@@ -54,8 +57,13 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
+_LO32 = np.uint64(_MASK32)
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Rows per block of a vectorized mask draw: about this many bytes in each
+# of its (rows, T) bool masks and (draws, rows) 8-byte stream words.
+_BLOCK_BYTES = 1 << 21
 
 
 def _check_integer(name: str, value) -> None:
@@ -125,8 +133,24 @@ def _generate_state(pool: list, n_words: int) -> list:
     return out
 
 
-def _curve_rngs(seed, n: int) -> Iterator[Generator]:
-    """The streams of curves 0 .. n-1: numpy's spawned children of the seed.
+def _check_children(seq: SeedSequence, n: int, what: str, spawns: bool = False) -> int:
+    """The first of n child indices of seq, which must lie below 2**32.
+
+    numpy's spawn also stores the count after its last child in 32 bits
+    and never returns when that count would reach 2**32, so a spawn
+    stops one index lower.
+    """
+    first = seq.n_children_spawned
+    if first + n > (1 << 32) - spawns:
+        raise ValueError(
+            f"{what} need child indices {first} .. {first + n - 1}; "
+            f"numpy spawns at most {'2**32 - 1' if spawns else '2**32'} children per seed"
+        )
+    return first
+
+
+def _curve_states(seed, n: int) -> tuple[np.ndarray, ...]:
+    """PCG64 states of curves 0 .. n-1 as uint64 columns (state_hi, state_lo, inc_hi, inc_lo).
 
     Curve i's stream is Generator(PCG64(child)) for the i-th child of
     seed_sequence(seed).spawn(n), byte for byte, but every child's
@@ -134,17 +158,9 @@ def _curve_rngs(seed, n: int) -> Iterator[Generator]:
     n rows. A SeedSequence seed is read, not advanced: its
     n_children_spawned is the first child index, so passing the same
     object twice yields the same streams, as an int seed does.
-
-    One generator is yielded n times with its state reset per curve, so
-    each stream must be consumed before the next is taken.
     """
     seq = seed_sequence(seed)
-    first = seq.n_children_spawned
-    if first + n > 1 << 32:
-        raise ValueError(
-            f"curve streams need child indices {first} .. {first + n - 1}; "
-            "numpy spawns at most 2**32 children per seed"
-        )
+    first = _check_children(seq, n, "curve streams")
     run = _words(seq.entropy)
     run += [0] * (seq.pool_size - len(run))
     # Children differ only in their last entropy word, the child index:
@@ -154,15 +170,153 @@ def _curve_rngs(seed, n: int) -> Iterator[Generator]:
     with np.errstate(over="ignore"):
         u32 = _generate_state(_mix_entropy(words, seq.pool_size), 8)
     # generate_state(4, uint64) reads the 32-bit words little-endian.
-    w = [(hi.astype(np.uint64) << 32 | lo).tolist() for lo, hi in zip(u32[::2], u32[1::2])]
+    w0, w1, w2, w3 = (hi.astype(np.uint64) << 32 | lo for lo, hi in zip(u32[::2], u32[1::2]))
+    # PCG64's set-seed step: inc = (w2, w3) << 1 | 1; state = 0, step,
+    # add the initial state (w0, w1), step.
+    inc_hi = w2 << 1 | w3 >> 63
+    inc_lo = w3 << 1 | 1
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    hi, lo = _advance(hi, lo, inc_hi, inc_lo, 1)
+    return hi[0], lo[0], inc_hi, inc_lo
+
+
+@lru_cache(maxsize=16)
+def _jumps(k: int) -> tuple[np.ndarray, ...]:
+    """PCG64's c-step jumps for c = 1 .. k as (k, 1) uint64 word columns.
+
+    c steps of s -> s * MULT + inc give s * MULT**c + inc * G_c with
+    G_c = 1 + MULT + ... + MULT**(c-1), all mod 2**128. The columns are
+    (MULT**c high, low, G_c high, low).
+    """
+    mult, g = 1, 0
+    words = []
+    for _ in range(k):
+        mult, g = mult * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
+        words.append((mult >> 64, mult & _MASK64, g >> 64, g & _MASK64))
+    return tuple(np.array(words, dtype=np.uint64).reshape(k, 4).T[:, :, None])
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2**128 on uint64 word arrays, broadcast.
+
+    uint64 arithmetic wraps mod 2**64; the high word of a_lo * b_lo
+    comes from 32-bit limbs, whose products fit in 64 bits.
+    """
+    a1, a0 = a_lo >> 32, a_lo & _LO32
+    b1, b0 = b_lo >> 32, b_lo & _LO32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    mid = a0 * b1 + (t & _LO32)
+    hi = a1 * b1 + (t >> 32) + (mid >> 32) + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _advance(hi, lo, inc_hi, inc_lo, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next k PCG64 states of each stream, as (k, rows) word arrays.
+
+    All k come from the current state at once through _jumps, not from
+    k sequential steps.
+    """
+    mult_hi, mult_lo, g_hi, g_lo = _jumps(k)
+    x_hi, x_lo = _mul128(hi, lo, mult_hi, mult_lo)
+    y_hi, y_lo = _mul128(inc_hi, inc_lo, g_hi, g_lo)
+    new_lo = x_lo + y_lo
+    return x_hi + y_hi + (new_lo < y_lo), new_lo
+
+
+class _Streams:
+    """The PCG64 streams of a block of curves, each row advanced on its own state.
+
+    Row r draws what Generator(PCG64(child_r)) draws, byte for byte, as
+    long as each method is called for the same rows in the same order as
+    the matching Generator method: `doubles` is `random`, `bounded` is
+    `integers(0, j + 1)` and `choice` is `choice(pop, m, replace=False)`.
+    `rows` is an index array into the block. Each row keeps PCG64's
+    buffered upper half of a 64-bit draw for its next 32-bit draw.
+    """
+
+    def __init__(self, state_hi, state_lo, inc_hi, inc_lo) -> None:
+        self.hi, self.lo = state_hi.copy(), state_lo.copy()
+        self.inc_hi, self.inc_lo = inc_hi, inc_lo
+        self.has_uint32 = np.zeros(state_hi.shape, dtype=bool)
+        self.uinteger = np.zeros(state_hi.shape, dtype=np.uint64)
+
+    def next64(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
+        """k successive 64-bit outputs (XSL-RR) per row, as a (k, rows) array."""
+        hi, lo = _advance(
+            self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows], k
+        )
+        if k:
+            self.hi[rows], self.lo[rows] = hi[-1], lo[-1]
+        x, rot = hi ^ lo, hi >> 58
+        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+
+    def doubles(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Generator.random(k) per row: (rows, k) doubles in [0, 1)."""
+        return ((self.next64(rows, k) >> 11) * 2.0**-53).T
+
+    def next32(self, rows: np.ndarray) -> np.ndarray:
+        """One 32-bit draw per row: the low half of a fresh 64-bit draw, or the buffered high half."""
+        has = self.has_uint32[rows]
+        out = self.uinteger[rows]
+        fresh = rows[~has]
+        if fresh.size:
+            x = self.next64(fresh)[0]
+            out[~has] = x & _LO32
+            self.uinteger[fresh] = x >> 32
+        self.has_uint32[rows] = ~has
+        return out
+
+    def bounded(self, rows: np.ndarray, j: int) -> np.ndarray:
+        """Generator.integers(0, j + 1) per row, by Lemire's rejection on 32-bit draws."""
+        if j == 0:
+            return np.zeros(rows.size, dtype=np.int64)
+        if j >= _MASK32:
+            raise ValueError(f"bounded draws need j < 2**32 - 1, got {j}")
+        excl = np.uint64(j + 1)
+        threshold = np.uint64((_MASK32 - j) % (j + 1))
+        m = self.next32(rows) * excl
+        redo = np.flatnonzero(m & _LO32 < threshold)
+        while redo.size:
+            m[redo] = self.next32(rows[redo]) * excl
+            redo = redo[m[redo] & _LO32 < threshold]
+        return (m >> 32).astype(np.int64)
+
+    def choice(self, rows: np.ndarray, pop: int, m: int) -> np.ndarray:
+        """Generator.choice(pop, m, replace=False) per row, as (rows, m) int64."""
+        r = np.arange(rows.size)
+        if pop > 10000 and m > pop // 50:
+            # numpy's tail shuffle: the last m slots of a shuffled arange(pop).
+            idx = np.tile(np.arange(pop, dtype=np.int64), (rows.size, 1))
+            for i in range(pop - 1, max(pop - m, 1) - 1, -1):
+                j = self.bounded(rows, i)
+                idx[r, i], idx[r, j] = idx[r, j], idx[r, i]
+            return idx[:, pop - m:]
+        # Floyd's algorithm: draw from 0 .. j and take j on a repeat, then
+        # shuffle the m picks.
+        picks = np.empty((rows.size, m), dtype=np.int64)
+        for k, j in enumerate(range(pop - m, pop)):
+            v = self.bounded(rows, j)
+            picks[:, k] = np.where((picks[:, :k] == v[:, None]).any(axis=1), j, v)
+        for i in range(m - 1, 0, -1):
+            j = self.bounded(rows, i)
+            picks[r, i], picks[r, j] = picks[r, j], picks[r, i]
+        return picks
+
+
+def _curve_rngs(seed, n: int) -> Iterator[Generator]:
+    """The streams of curves 0 .. n-1 as numpy Generators, for sample_gp.
+
+    One generator is yielded n times with its state set per curve from
+    _curve_states, so each stream must be consumed before the next is
+    taken. Its ziggurat normals need numpy's own tables, which is why
+    sample_gp reads a Generator while the other stages use _Streams.
+    """
     gen = Generator(PCG64())
-    for w0, w1, w2, w3 in zip(*w):
-        # PCG64's set-seed step: state = 0, step, add the initial state, step.
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*(c.tolist() for c in _curve_states(seed, n))):
         gen.bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -332,7 +486,8 @@ def contaminate(
     """
     if spec.kind is ContaminationKind.NONE:
         return sample
-    u = np.array([rng.random(3) for rng in _curve_rngs(seed, sample.n_curves)])
+    n = sample.n_curves
+    u = _Streams(*_curve_states(seed, n)).doubles(np.arange(n), 3)
     flags = np.where(u[:, 0] < spec.q, 1.0, 0.0)
     signs = np.where(u[:, 1] < 0.5, 1.0, -1.0)
     return apply_contamination(
@@ -374,16 +529,15 @@ class ObservationSpec:
         return math.floor((self.n_intervals - self.p_obs) / self.p_obs) + 1
 
 
-def _centered_bounds(p: float, rng: Generator) -> tuple[float, float]:
-    # start in [mid - p, mid) and end in (mid, mid + p] for p <= 1/2;
-    # start in [0, 1 - p) and end in (p, 1] otherwise.
+def _centered_bounds(p: float, u0, u1):
+    """Centered interval ends from two uniforms (floats or columns).
+
+    start in [mid - p, mid) and end in (mid, mid + p] for p <= 1/2;
+    start in [0, 1 - p) and end in (p, 1] otherwise.
+    """
     if p <= 0.5:
-        start = (0.5 - p) + p * rng.random()
-        end = 0.5 + p * (1.0 - rng.random())
-    else:
-        start = (1.0 - p) * rng.random()
-        end = p + (1.0 - p) * (1.0 - rng.random())
-    return start, end
+        return (0.5 - p) + p * u0, 0.5 + p * (1.0 - u1)
+    return (1.0 - p) * u0, p + (1.0 - p) * (1.0 - u1)
 
 
 def _intervals_mask(
@@ -406,16 +560,18 @@ def _intervals_mask(
 def _draw_mask(
     pts: np.ndarray, spec: ObservationSpec, rng: Generator, within: np.ndarray | bool = True
 ) -> np.ndarray:
-    """A nonempty mask inside `within`: the package's one redraw loop.
+    """A nonempty mask inside `within`, drawn from one Generator.
 
     A draw that is rejected or leaves no point of `within` observed is
-    redrawn from the same stream, at most _MAX_MASK_RETRIES times.
+    redrawn from the same stream, at most _MAX_MASK_RETRIES times. This
+    is the one-stream reference that observe's vectorized draw matches
+    per curve; population_coverage draws its Monte Carlo masks with it.
     """
     for _ in range(_MAX_MASK_RETRIES):
         if spec.kind is ObservationKind.FULL:
             mask = np.ones(pts.shape, dtype=bool)
         elif spec.kind is ObservationKind.CENTERED_INTERVAL:
-            start, end = _centered_bounds(spec.p_obs, rng)
+            start, end = _centered_bounds(spec.p_obs, rng.random(), rng.random())
             mask = (pts >= start) & (pts <= end)
         else:
             mask = _intervals_mask(
@@ -427,6 +583,71 @@ def _draw_mask(
     raise RuntimeError("observation mask stayed empty after maximum retries")
 
 
+def _interval_masks(pts: np.ndarray, p: float, cuts: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """_intervals_mask for many rows: the union of each row's picked cells.
+
+    cuts (rows, cells - 1) are the uniform cut points and picks (rows, m)
+    the chosen slots, re-spread to non-adjacent cells as there. A row
+    whose total length is off p by more than p / 4 is all False.
+    """
+    rows, m = picks.shape
+    cuts = np.sort(cuts, axis=1)
+    edges = np.concatenate((np.zeros((rows, 1)), cuts, np.ones((rows, 1))), axis=1)
+    picks = np.sort(picks, axis=1) + np.arange(m)
+    lo = np.take_along_axis(edges, picks, axis=1)
+    hi = np.take_along_axis(edges, picks + 1, axis=1)
+    mask = np.zeros((rows, pts.size), dtype=bool)
+    for k in range(m):
+        mask |= (pts >= lo[:, k, None]) & (pts <= hi[:, k, None])
+    mask[~(np.abs((hi - lo).sum(axis=1) - p) <= 0.25 * p)] = False
+    return mask
+
+
+def _mask_attempt(
+    pts: np.ndarray, spec: ObservationSpec, streams: _Streams, rows: np.ndarray
+) -> np.ndarray:
+    """One mask draw for each of `rows`, as _draw_mask's loop body draws it."""
+    if spec.kind is ObservationKind.FULL:
+        return np.ones((rows.size, pts.size), dtype=bool)
+    if spec.kind is ObservationKind.CENTERED_INTERVAL:
+        u = streams.doubles(rows, 2)
+        start, end = _centered_bounds(spec.p_obs, u[:, 0], u[:, 1])
+        return (pts >= start[:, None]) & (pts <= end[:, None])
+    m, cells = spec.n_intervals, spec._n_cells()
+    cuts = streams.doubles(rows, cells - 1)
+    picks = streams.choice(rows, cells - m + 1, m)
+    return _interval_masks(pts, spec.p_obs, cuts, picks)
+
+
+def _draw_masks(
+    out: np.ndarray, pts: np.ndarray, spec: ObservationSpec, seed, within: np.ndarray
+) -> None:
+    """Fill `out` with a nonempty mask per curve inside `within`, all curves at once.
+
+    Row i gets what _draw_mask draws from curve i's stream. Rows are
+    taken in blocks that bound the temporaries; streams are keyed by
+    curve index, so the block size changes no byte. Each attempt redraws
+    the rows whose mask is still empty, at most _MAX_MASK_RETRIES times.
+    """
+    states = _curve_states(seed, out.shape[0])
+    doubles = spec._n_cells() - 1 if spec.kind is ObservationKind.RANDOM_INTERVALS else 2
+    step = max(1, _BLOCK_BYTES // max(pts.size, 8 * doubles))
+    for first in range(0, out.shape[0], step):
+        block = slice(first, first + step)
+        streams = _Streams(*(column[block] for column in states))
+        rows = np.arange(streams.hi.size)
+        for _ in range(_MAX_MASK_RETRIES):
+            mask = _mask_attempt(pts, spec, streams, rows)
+            mask &= within[block][rows]
+            hit = mask.any(axis=1)
+            out[first + rows[hit]] = mask[hit]
+            rows = rows[~hit]
+            if not rows.size:
+                break
+        else:
+            raise RuntimeError("observation mask stayed empty after maximum retries")
+
+
 def observe(
     grid: Grid, sample: FunctionalSample, spec: ObservationSpec, seed
 ) -> FunctionalSample:
@@ -436,9 +657,13 @@ def observe(
     with no observed grid point is redrawn up to a bounded retry count.
     """
     _check_grid(grid, sample)
+    # Hold a block the size of the sample's value copy while drawing, so
+    # the draw's temporaries, and the small blocks numpy caches after
+    # them, cannot split the free heap space that copy then reuses.
+    slot = np.empty(sample.values.shape)
     mask = np.empty(sample.mask.shape, dtype=bool)
-    for i, rng in enumerate(_curve_rngs(seed, sample.n_curves)):
-        mask[i] = _draw_mask(grid.points, spec, rng, sample.mask[i])
+    _draw_masks(mask, grid.points, spec, seed, sample.mask)
+    del slot
     return FunctionalSample(grid, sample.values, mask)
 
 
@@ -454,7 +679,9 @@ def simulate_sample(
     The root seed is split into three children, one per stage, so each
     stage's draws are independent of the others' settings.
     """
-    gp_seed, cont_seed, obs_seed = seed_sequence(root_seed).spawn(3)
+    root = seed_sequence(root_seed)
+    _check_children(root, 3, "stage seeds", spawns=True)
+    gp_seed, cont_seed, obs_seed = root.spawn(3)
     sample = sample_gp(model, n, gp_seed)
     sample = contaminate(model.grid, sample, contamination, cont_seed)
     return observe(model.grid, sample, observation, obs_seed)

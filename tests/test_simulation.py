@@ -1,21 +1,25 @@
 import hashlib
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
-from pofda.core import Grid, PartialCurve, build_sample
+from pofda import simulate
+from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
 from pofda.simulate import (
     ContaminationSpec,
     GpModel,
     ObservationSpec,
     _cached_factor,
     _curve_rngs,
+    _curve_states,
     _draw_mask,
+    _Streams,
     apply_contamination,
     contaminate,
     observe,
@@ -128,6 +132,188 @@ class TestCurveStreams:
         # construction, so index 2**32 is reached by spawning past it.
         with pytest.raises(ValueError, match=re.escape("2**32")):
             next(_curve_rngs(SeedSequence(0, n_children_spawned=2**32 - 1), 2))
+
+
+def numpy_streams(seed, n):
+    """Generator(PCG64(child)) for numpy's own spawned children of the seed."""
+    return [Generator(PCG64(child)) for child in SeedSequence(seed).spawn(n)]
+
+
+# Bounds that hit Lemire's rejection about half the time (2**31 + 1) or
+# never (powers of two), plus the widest 32-bit range.
+BOUNDS = [0, 1, 2, 3, 6, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2]
+
+
+@st.composite
+def stream_draws(draw, n):
+    """One vectorized draw: a nonempty subset of the rows and what they draw."""
+    rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(rows.size)
+    kind = draw(st.sampled_from(["doubles", "bounded", "choice"]))
+    if kind == "doubles":
+        return rows, kind, (draw(st.integers(0, 6)),)
+    if kind == "bounded":
+        return rows, kind, (draw(st.sampled_from(BOUNDS) | st.integers(0, 2**32 - 2)),)
+    pop = draw(st.integers(1, 40))
+    return rows, kind, (pop, draw(st.integers(1, pop)))
+
+
+class TestVectorStreams:
+    """_Streams draws what numpy's Generator draws per curve, byte for byte.
+
+    These fail loudly if numpy ever changes a bit generator or sampler
+    that observe and contaminate reproduce.
+    """
+
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_generator(self, seed, n, data):
+        # Draws interleave over changing row subsets, as observe's redraws
+        # do, so each row's buffered 32-bit half carries across them.
+        streams = _Streams(*_curve_states(seed, n))
+        gens = numpy_streams(seed, n)
+        for _ in range(data.draw(st.integers(1, 12))):
+            rows, kind, args = data.draw(stream_draws(n))
+            if kind == "doubles":
+                got = streams.doubles(rows, *args)
+                want = [gens[r].random(*args) for r in rows]
+            elif kind == "bounded":
+                got = streams.bounded(rows, *args)
+                want = [gens[r].integers(0, args[0] + 1) for r in rows]
+            else:
+                got = streams.choice(rows, *args)
+                want = [gens[r].choice(args[0], args[1], replace=False) for r in rows]
+            np.testing.assert_array_equal(got, np.array(want).reshape(got.shape))
+
+    def test_lemire_rejection_and_full_choice(self):
+        rows = np.arange(5)
+        streams = _Streams(*_curve_states(8, 5))
+        gens = numpy_streams(8, 5)
+        for _ in range(20):
+            np.testing.assert_array_equal(
+                streams.bounded(rows, 2**31 + 1), [g.integers(0, 2**31 + 2) for g in gens]
+            )
+            np.testing.assert_array_equal(
+                streams.choice(rows, 4, 4), [g.choice(4, 4, replace=False) for g in gens]
+            )
+
+    def test_tail_shuffle_choice_matches_generator(self):
+        # numpy shuffles a whole arange(pop) when pop > 10000 and
+        # m > pop // 50; this spec's interval draw reaches that branch.
+        spec = ObservationSpec("intervals", p_obs=0.05, n_intervals=1000)
+        pop, m = spec._n_cells() - spec.n_intervals + 1, spec.n_intervals
+        assert pop > 10000 and m > pop // 50
+        rows = np.arange(2)
+        streams = _Streams(*_curve_states(4, 2))
+        gens = numpy_streams(4, 2)
+        np.testing.assert_array_equal(
+            streams.choice(rows, pop, m), [g.choice(pop, m, replace=False) for g in gens]
+        )
+        np.testing.assert_array_equal(streams.doubles(rows, 2), [g.random(2) for g in gens])
+        grid = Grid.uniform(21)
+        sample = flat_curves(grid, 2)
+        expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(6, 2)]
+        np.testing.assert_array_equal(observe(grid, sample, spec, seed=6).mask, expected)
+
+    def test_single_cell_intervals_draw_no_cut(self):
+        # One interval at p_obs > 1/2 is a single cell: zero uniforms per
+        # attempt, then a choice from one slot, which draws nothing. The
+        # cell's length 1 passes the length check at 0.9, never at 0.55.
+        grid = Grid.uniform(7)
+        curves = flat_curves(grid, 3)
+        spec = ObservationSpec("intervals", p_obs=0.9, n_intervals=1)
+        assert spec._n_cells() == 1
+        expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(0, 3)]
+        np.testing.assert_array_equal(observe(grid, curves, spec, seed=0).mask, expected)
+        spec = ObservationSpec("intervals", p_obs=0.55, n_intervals=1)
+        with pytest.raises(RuntimeError, match="stayed empty"):
+            _draw_mask(grid.points, spec, numpy_streams(0, 1)[0])
+        with pytest.raises(RuntimeError, match="stayed empty"):
+            observe(grid, curves, spec, seed=0)
+
+    def test_bounded_needs_32_bit_range(self):
+        streams = _Streams(*_curve_states(0, 1))
+        with pytest.raises(ValueError, match=re.escape("2**32 - 1")):
+            streams.bounded(np.arange(1), 2**32 - 1)
+
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 9),
+        T=st.integers(3, 30),
+        kind=st.sampled_from(["full", "centered", "intervals"]),
+        p_obs=st.sampled_from([0.02, 0.05, 0.2, 0.5, 0.55, 0.8, 1.0]),
+        n_intervals=st.integers(1, 3),
+        premasked=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_observe_matches_per_curve_reference(
+        self, seed, n, T, kind, p_obs, n_intervals, premasked, data
+    ):
+        try:
+            spec = ObservationSpec(kind, p_obs=p_obs, n_intervals=n_intervals)
+        except ValueError:
+            assume(False)
+        grid = Grid.uniform(T)
+        within = np.ones((n, T), dtype=bool)
+        if premasked:
+            # Sparse prior masks make tiny p_obs redraw-heavy.
+            within = np.array(data.draw(st.lists(
+                st.lists(st.booleans(), min_size=T, max_size=T), min_size=n, max_size=n
+            )))
+            within[np.arange(n), data.draw(st.lists(st.integers(0, T - 1), min_size=n, max_size=n))] = True
+        sample = FunctionalSample(grid, np.zeros((n, T)), within)
+        try:
+            expected = [
+                _draw_mask(grid.points, spec, g, within[i])
+                for i, g in enumerate(numpy_streams(seed, n))
+            ]
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="stayed empty"):
+                observe(grid, sample, spec, seed)
+            return
+        np.testing.assert_array_equal(observe(grid, sample, spec, seed).mask, expected)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "spec",
+        [ObservationSpec("centered", p_obs=0.03), ObservationSpec("intervals", p_obs=0.3, n_intervals=2)],
+        ids=["centered", "intervals"],
+    )
+    def test_row_blocks_change_no_byte(self, spec, block_rows):
+        # 20 grid points put none at 0.5, so narrow centered masks miss
+        # most curves and are redrawn; prior masks add misses for both kinds.
+        grid = Grid.uniform(20)
+        within = np.add.outer(np.arange(17), np.arange(20)) % 2 == 0
+        sample = FunctionalSample(grid, np.zeros((17, 20)), within)
+        whole = observe(grid, sample, spec, seed=5).mask
+        with mock.patch.object(simulate, "_BLOCK_BYTES", block_rows * grid.size):
+            blocked = observe(grid, sample, spec, seed=5).mask
+        expected = [
+            _draw_mask(grid.points, spec, g, within[i]) for i, g in enumerate(numpy_streams(5, 17))
+        ]
+        np.testing.assert_array_equal(whole, expected)
+        np.testing.assert_array_equal(blocked, expected)
+
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(["sym", "asym", "partial"]),
+        q=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contaminate_matches_per_curve_reference(self, seed, n, kind, q):
+        grid = Grid.uniform(15)
+        curves = sample_gp(GpModel(grid=grid, theta=3.0), n, seed=1)
+        u = np.array([g.random(3) for g in numpy_streams(seed, n)])
+        expected = apply_contamination(
+            grid, curves, kind, 5.0,
+            flags=np.where(u[:, 0] < q, 1.0, 0.0),
+            signs=np.where(u[:, 1] < 0.5, 1.0, -1.0),
+            onsets=u[:, 2],
+        )
+        got = contaminate(grid, curves, ContaminationSpec(kind, q=q, magnitude=5.0), seed)
+        np.testing.assert_array_equal(got.values, expected.values)
 
 
 class TestGpModel:
@@ -358,6 +544,24 @@ class TestObserve:
             for spec in (ObservationSpec("full"), ObservationSpec("centered", p_obs=0.5)):
                 with pytest.raises(ValueError, match="sample's grid"):
                     observe(other, curves, spec, seed=0)
+
+
+class TestSimulateSampleSeeds:
+    def test_stage_split_past_spawn_counter_rejected(self, model):
+        # numpy's spawn(3) never returns once the root's 32-bit spawn
+        # counter would reach 2**32; the split must refuse it first.
+        root = SeedSequence(0, n_children_spawned=2**32 - 3)
+        spec = (ContaminationSpec("none"), ObservationSpec("full"))
+        with pytest.raises(ValueError, match=re.escape("2**32 - 1")):
+            simulate_sample(model, 2, *spec, root_seed=root)
+        assert root.n_children_spawned == 2**32 - 3
+
+    def test_last_stage_split_below_counter_limit(self, model):
+        root = SeedSequence(0, n_children_spawned=2**32 - 4)
+        spec = (ContaminationSpec("none"), ObservationSpec("full"))
+        s = simulate_sample(model, 2, *spec, root_seed=root)
+        gp_seed = SeedSequence(0, spawn_key=(2**32 - 4,))
+        np.testing.assert_array_equal(s.values, sample_gp(model, 2, gp_seed).values)
 
 
 def test_pipeline_determinism_end_to_end(grid):
