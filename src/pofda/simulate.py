@@ -523,6 +523,13 @@ class ObservationSpec:
                     f"cannot place {self.n_intervals} disjoint intervals with "
                     f"expected proportion {self.p_obs}; reduce n_intervals"
                 )
+            if cells == 1 and not _length_accepted(1.0, self.p_obs):
+                # The one cell is [0, 1] itself, so every draw is rejected.
+                raise ValueError(
+                    f"one interval at p_obs {self.p_obs} always covers [0, 1], "
+                    "whose length is off p_obs by more than p_obs / 4; "
+                    "use p_obs >= 0.8 or p_obs <= 0.5"
+                )
 
     def _n_cells(self) -> int:
         # floor((m - p) / p) uniform draws partition [0, 1] into that + 1 cells.
@@ -540,6 +547,11 @@ def _centered_bounds(p: float, u0, u1):
     return (1.0 - p) * u0, p + (1.0 - p) * (1.0 - u1)
 
 
+def _length_accepted(total, p: float):
+    """The random-interval rejection rule: total length within p / 4 of p."""
+    return np.abs(total - p) <= 0.25 * p
+
+
 def _intervals_mask(
     pts: np.ndarray, m: int, p: float, cells: int, rng: Generator
 ) -> np.ndarray:
@@ -551,7 +563,7 @@ def _intervals_mask(
     picks = np.sort(rng.choice(cells - m + 1, size=m, replace=False)) + np.arange(m)
     lengths = edges[picks + 1] - edges[picks]
     mask = np.zeros(pts.shape, dtype=bool)
-    if abs(lengths.sum() - p) <= 0.25 * p:
+    if _length_accepted(lengths.sum(), p):
         for j in picks:
             mask |= (pts >= edges[j]) & (pts <= edges[j + 1])
     return mask
@@ -599,7 +611,7 @@ def _interval_masks(pts: np.ndarray, p: float, cuts: np.ndarray, picks: np.ndarr
     mask = np.zeros((rows, pts.size), dtype=bool)
     for k in range(m):
         mask |= (pts >= lo[:, k, None]) & (pts <= hi[:, k, None])
-    mask[~(np.abs((hi - lo).sum(axis=1) - p) <= 0.25 * p)] = False
+    mask[~_length_accepted((hi - lo).sum(axis=1), p)] = False
     return mask
 
 

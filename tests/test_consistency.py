@@ -1,15 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from pofda.core import Grid, PartialCurve
 from pofda.consistency import (
+    _ndtr,
     centered_coverage,
     convergence_probe,
     default_probe_curves,
     population_coverage,
     population_poifd,
 )
+from pofda.depths import DepthKind
 from pofda.simulate import GpModel, ObservationSpec, _draw_mask
 
 
@@ -125,3 +131,79 @@ def test_convergence_probe_order_independent():
     a = convergence_probe(model, [30, 60], probes, spec, seed=5)
     b = convergence_probe(model, [60, 30], probes, spec, seed=5)
     assert a == b
+
+
+def _ndtr_edges() -> np.ndarray:
+    """Inputs at and around each branch edge of cephes' ndtr, both signs.
+
+    x = a / sqrt(2) switches from erf to erfc at |x| = 1/sqrt(2), from
+    erfc's 1 - erf to P/Q at 1 and to R/S at 8; exp(-x^2) turns
+    subnormal and then hits the underflow cut (x^2 > log(DBL_MAX)) for
+    |a| in about [37.64, 37.68]. The rest are signed zeros, subnormals,
+    the largest double, infinities and NaNs.
+    """
+    cuts = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 1 / np.sqrt(2.0), 8.0])
+    ulps = [cuts]
+    up = down = cuts
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        ulps += [up, down]
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0e-8,
+               np.finfo(float).max, np.inf, np.nan]
+    # A signaling NaN and a quiet one with a payload: cephes returns NaN
+    # before any arithmetic could raise the invalid flag.
+    nans = np.array([0x7FF0000000000001, 0x7FF8000000000123], dtype=np.uint64).view(float)
+    a = np.concatenate(ulps + [np.linspace(37.6, 37.72, 4001), special, nans])
+    return np.concatenate((a, -a))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNdtr:
+    """_ndtr is scipy.special.ndtr, bit for bit: the oracle it ports.
+
+    C silently overflows and underflows where numpy would warn, so a
+    RuntimeWarning is a failure here whatever the suite's settings.
+    """
+
+    @staticmethod
+    def assert_scipy_bits(a):
+        special = pytest.importorskip("scipy.special")
+        a = np.asarray(a, dtype=float)
+        np.testing.assert_array_equal(
+            _ndtr(a).view(np.uint64), special.ndtr(a).view(np.uint64)
+        )
+
+    def test_branch_edges(self):
+        a = _ndtr_edges()
+        self.assert_scipy_bits(a)
+        y = _ndtr(a)
+        assert np.array_equal(y[a == np.inf], [1.0]) and np.array_equal(y[a == -np.inf], [0.0])
+        # Past the underflow cut the tail is exactly 0, never a subnormal.
+        assert np.all(y[(a < -37.7) & np.isfinite(a)] == 0.0)
+        assert np.any((y > 0.0) & (y < 2.2250738585072014e-308))
+
+    # Any double, and the range where the CDF is neither 0 nor 1.
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(-40.0, 40.0),
+    ), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scipy(self, values):
+        self.assert_scipy_bits(values)
+
+
+def test_population_poifd_pinned():
+    # sha256 of the float64 depths (DepthKind order, then probe order),
+    # recorded with scipy.special.ndtr as the CDF. The +-40 probes reach
+    # ndtr's underflow branch at every grid point.
+    grid = Grid.uniform(101)
+    trend = 4.0 * grid.points
+    coverage = centered_coverage(grid, 0.5)
+    far = [PartialCurve.fully_observed(trend + offset) for offset in (40.0, -40.0)]
+    probes = default_probe_curves(grid) + far
+    depths = np.array(
+        [[population_poifd(x, grid, trend, coverage, kind) for x in probes] for kind in DepthKind]
+    )
+    assert hashlib.sha256(depths.tobytes()).hexdigest() == (
+        "7ca6fa4dbc60c1cc9c1103d73d8cd46036ee8c9154ac17f6f9e079efac1b4145"
+    )

@@ -8,7 +8,10 @@ benchmark or a script still imports, fails fast.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pofda
@@ -96,3 +99,17 @@ def test_benchmark_imports_resolve():
     assert ("pofda.consistency", "convergence_probe") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_import_loads_no_scipy():
+    # scipy is only the tests' oracle for the normal CDF; importing the
+    # package and its CLI in a fresh interpreter must not load it.
+    code = (
+        "import sys, pofda, pofda.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pofda.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

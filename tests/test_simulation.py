@@ -218,18 +218,18 @@ class TestVectorStreams:
     def test_single_cell_intervals_draw_no_cut(self):
         # One interval at p_obs > 1/2 is a single cell: zero uniforms per
         # attempt, then a choice from one slot, which draws nothing. The
-        # cell's length 1 passes the length check at 0.9, never at 0.55.
+        # cell's length 1 passes the length check from 0.8 on, never below,
+        # so a spec between 1/2 and 0.8 is refused at construction.
         grid = Grid.uniform(7)
         curves = flat_curves(grid, 3)
-        spec = ObservationSpec("intervals", p_obs=0.9, n_intervals=1)
-        assert spec._n_cells() == 1
-        expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(0, 3)]
-        np.testing.assert_array_equal(observe(grid, curves, spec, seed=0).mask, expected)
-        spec = ObservationSpec("intervals", p_obs=0.55, n_intervals=1)
-        with pytest.raises(RuntimeError, match="stayed empty"):
-            _draw_mask(grid.points, spec, numpy_streams(0, 1)[0])
-        with pytest.raises(RuntimeError, match="stayed empty"):
-            observe(grid, curves, spec, seed=0)
+        for p_obs in (0.8, 0.9):
+            spec = ObservationSpec("intervals", p_obs=p_obs, n_intervals=1)
+            assert spec._n_cells() == 1
+            expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(0, 3)]
+            np.testing.assert_array_equal(observe(grid, curves, spec, seed=0).mask, expected)
+        for p_obs in (0.55, 0.79):
+            with pytest.raises(ValueError, match="always covers"):
+                ObservationSpec("intervals", p_obs=p_obs, n_intervals=1)
 
     def test_bounded_needs_32_bit_range(self):
         streams = _Streams(*_curve_states(0, 1))
