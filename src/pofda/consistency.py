@@ -25,12 +25,12 @@ from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
-    _draw_mask,
+    _check_integer,
+    _draw_masks,
     observe,
     sample_gp,
     seed_sequence,
 )
-from numpy.random import default_rng
 
 __all__ = [
     "centered_coverage",
@@ -152,19 +152,21 @@ def population_coverage(
     """Coverage function Q(t) of a masking mechanism on the grid.
 
     Closed form for the full and centered mechanisms; Monte Carlo over
-    `mc_draws` independent masks for random intervals.
+    `mc_draws` independent masks for random intervals. Draw d reads the
+    stream of child d of the seed, as curve d does in `observe`, so the
+    estimate is the coverage of `observe` on `mc_draws` fully observed
+    curves, byte for byte.
     """
+    _check_integer("mc_draws", mc_draws)
     if mc_draws < 1:
         raise ValueError("mc_draws must be at least 1")
     if spec.kind is ObservationKind.FULL:
         return np.ones(grid.size)
     if spec.kind is ObservationKind.CENTERED_INTERVAL:
         return centered_coverage(grid, spec.p_obs)
-    rng = default_rng(seed_sequence(seed))
-    acc = np.zeros(grid.size)
-    for _ in range(mc_draws):
-        acc += _draw_mask(grid.points, spec, rng)
-    return acc / mc_draws
+    masks = np.empty((mc_draws, grid.size), dtype=bool)
+    _draw_masks(masks, grid.points, spec, seed, np.broadcast_to(True, masks.shape))
+    return masks.sum(axis=0) / mc_draws
 
 
 def population_poifd(
@@ -217,7 +219,6 @@ def convergence_probe(
     seed: int,
     kind: DepthKind = DepthKind.FRAIMAN_MUNIZ,
     phi: PhiLike = "identity",
-    mc_draws: int = 100_000,
 ) -> dict[int, float]:
     """Sup over probes of |sample depth - population depth| per sample size.
 
@@ -227,7 +228,7 @@ def convergence_probe(
     """
     grid = model.grid
     trend = model.trend_values()
-    coverage = population_coverage(observation, grid, mc_draws=mc_draws, seed=seed)
+    coverage = population_coverage(observation, grid, seed=seed)
     pop = np.array(
         [population_poifd(x, grid, trend, coverage, kind, phi) for x in probes]
     )

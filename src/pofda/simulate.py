@@ -13,7 +13,8 @@ with the seeding of all n children computed in one pass. Generating
 curves serially or in parallel therefore yields bit-identical output.
 Contamination and masks are drawn from the curves' PCG64 streams in one
 vectorized pass over all rows (`_Streams`), byte-equal to what numpy's
-Generator draws per curve; `_draw_mask` is that per-curve reference.
+Generator draws per curve; the per-curve reference that the tests check
+this against, one mask drawn from one Generator, is in tests/conftest.py.
 `sample_gp` still reads one Generator per curve, whose state is reset
 per curve, because its ziggurat normals need numpy's own tables.
 """
@@ -552,55 +553,13 @@ def _length_accepted(total, p: float):
     return np.abs(total - p) <= 0.25 * p
 
 
-def _intervals_mask(
-    pts: np.ndarray, m: int, p: float, cells: int, rng: Generator
-) -> np.ndarray:
-    """One draw of m random intervals; all False when its length is rejected."""
-    cuts = np.sort(rng.random(cells - 1))
-    edges = np.concatenate(([0.0], cuts, [1.0]))
-    # m non-adjacent cells, uniform over all such subsets: pick
-    # combinations from cells - m + 1 slots and re-spread.
-    picks = np.sort(rng.choice(cells - m + 1, size=m, replace=False)) + np.arange(m)
-    lengths = edges[picks + 1] - edges[picks]
-    mask = np.zeros(pts.shape, dtype=bool)
-    if _length_accepted(lengths.sum(), p):
-        for j in picks:
-            mask |= (pts >= edges[j]) & (pts <= edges[j + 1])
-    return mask
-
-
-def _draw_mask(
-    pts: np.ndarray, spec: ObservationSpec, rng: Generator, within: np.ndarray | bool = True
-) -> np.ndarray:
-    """A nonempty mask inside `within`, drawn from one Generator.
-
-    A draw that is rejected or leaves no point of `within` observed is
-    redrawn from the same stream, at most _MAX_MASK_RETRIES times. This
-    is the one-stream reference that observe's vectorized draw matches
-    per curve; population_coverage draws its Monte Carlo masks with it.
-    """
-    for _ in range(_MAX_MASK_RETRIES):
-        if spec.kind is ObservationKind.FULL:
-            mask = np.ones(pts.shape, dtype=bool)
-        elif spec.kind is ObservationKind.CENTERED_INTERVAL:
-            start, end = _centered_bounds(spec.p_obs, rng.random(), rng.random())
-            mask = (pts >= start) & (pts <= end)
-        else:
-            mask = _intervals_mask(
-                pts, spec.n_intervals, spec.p_obs, spec._n_cells(), rng
-            )
-        mask &= within
-        if mask.any():
-            return mask
-    raise RuntimeError("observation mask stayed empty after maximum retries")
-
-
 def _interval_masks(pts: np.ndarray, p: float, cuts: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """_intervals_mask for many rows: the union of each row's picked cells.
+    """m random intervals for many rows: the union of each row's picked cells.
 
     cuts (rows, cells - 1) are the uniform cut points and picks (rows, m)
-    the chosen slots, re-spread to non-adjacent cells as there. A row
-    whose total length is off p by more than p / 4 is all False.
+    the chosen slots out of cells - m + 1, re-spread to m non-adjacent
+    cells, so every such subset is equally likely. A row whose total
+    length is off p by more than p / 4 is all False.
     """
     rows, m = picks.shape
     cuts = np.sort(cuts, axis=1)
@@ -618,7 +577,7 @@ def _interval_masks(pts: np.ndarray, p: float, cuts: np.ndarray, picks: np.ndarr
 def _mask_attempt(
     pts: np.ndarray, spec: ObservationSpec, streams: _Streams, rows: np.ndarray
 ) -> np.ndarray:
-    """One mask draw for each of `rows`, as _draw_mask's loop body draws it."""
+    """One mask draw for each of `rows`, as one attempt of the per-curve reference draws it."""
     if spec.kind is ObservationKind.FULL:
         return np.ones((rows.size, pts.size), dtype=bool)
     if spec.kind is ObservationKind.CENTERED_INTERVAL:
@@ -636,7 +595,9 @@ def _draw_masks(
 ) -> None:
     """Fill `out` with a nonempty mask per curve inside `within`, all curves at once.
 
-    Row i gets what _draw_mask draws from curve i's stream. Rows are
+    Row i gets what the per-curve reference in tests/conftest.py draws
+    from curve i's Generator: an attempt that is rejected or leaves no
+    point of `within` observed is redrawn from the same stream. Rows are
     taken in blocks that bound the temporaries; streams are keyed by
     curve index, so the block size changes no byte. Each attempt redraws
     the rows whose mask is still empty, at most _MAX_MASK_RETRIES times.

@@ -2,9 +2,16 @@ import csv
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.depths import depth_from_counts
+from pofda.simulate import (
+    _MAX_MASK_RETRIES,
+    ObservationKind,
+    _centered_bounds,
+    _length_accepted,
+)
 
 
 def count_mask_runs(mask) -> int:
@@ -30,6 +37,50 @@ def random_masked_sample(rng, n, T, p_missing=0.4):
             mask[rng.integers(T)] = True
         curves.append(PartialCurve(rng.normal(size=T), mask))
     return build_sample(grid, curves)
+
+
+def numpy_streams(seed, n):
+    """Generator(PCG64(child)) for numpy's own spawned children of the seed."""
+    return [Generator(PCG64(child)) for child in SeedSequence(seed).spawn(n)]
+
+
+def _intervals_reference(pts, m, p, cells, rng):
+    """One draw of m random intervals; all False when its length is rejected."""
+    cuts = np.sort(rng.random(cells - 1))
+    edges = np.concatenate(([0.0], cuts, [1.0]))
+    # m non-adjacent cells, uniform over all such subsets: pick
+    # combinations from cells - m + 1 slots and re-spread.
+    picks = np.sort(rng.choice(cells - m + 1, size=m, replace=False)) + np.arange(m)
+    lengths = edges[picks + 1] - edges[picks]
+    mask = np.zeros(pts.shape, dtype=bool)
+    if _length_accepted(lengths.sum(), p):
+        for j in picks:
+            mask |= (pts >= edges[j]) & (pts <= edges[j + 1])
+    return mask
+
+
+def draw_mask_reference(pts, spec, rng, within=True):
+    """A nonempty mask inside `within`, drawn one mask at a time from one Generator.
+
+    A draw that is rejected or leaves no point of `within` observed is
+    redrawn from the same stream, at most _MAX_MASK_RETRIES times. This
+    is the one-stream reference that observe's vectorized draw matches
+    per curve, and population_coverage's per draw.
+    """
+    for _ in range(_MAX_MASK_RETRIES):
+        if spec.kind is ObservationKind.FULL:
+            mask = np.ones(pts.shape, dtype=bool)
+        elif spec.kind is ObservationKind.CENTERED_INTERVAL:
+            start, end = _centered_bounds(spec.p_obs, rng.random(), rng.random())
+            mask = (pts >= start) & (pts <= end)
+        else:
+            mask = _intervals_reference(
+                pts, spec.n_intervals, spec.p_obs, spec._n_cells(), rng
+            )
+        mask &= within
+        if mask.any():
+            return mask
+    raise RuntimeError("observation mask stayed empty after maximum retries")
 
 
 def sorted_counts(values, x):

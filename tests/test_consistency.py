@@ -2,11 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from pofda.core import Grid, PartialCurve
+from pofda.core import FunctionalSample, Grid, PartialCurve
 from pofda.consistency import (
     _ndtr,
     centered_coverage,
@@ -16,7 +16,9 @@ from pofda.consistency import (
     population_poifd,
 )
 from pofda.depths import DepthKind
-from pofda.simulate import GpModel, ObservationSpec, _draw_mask
+from pofda.simulate import GpModel, ObservationSpec, observe
+
+from conftest import draw_mask_reference, numpy_streams
 
 
 class TestCenteredCoverage:
@@ -29,7 +31,7 @@ class TestCenteredCoverage:
         draws = 20_000
         acc = np.zeros(grid.size)
         for _ in range(draws):
-            acc += _draw_mask(grid.points, spec, rng)
+            acc += draw_mask_reference(grid.points, spec, rng)
         mc = acc / draws
         se = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-4) / draws)
         assert np.all(np.abs(mc - analytic) < 5 * se + 1e-3)
@@ -62,19 +64,45 @@ def test_population_coverage_dispatch():
 
 
 def test_interval_coverage_pinned():
-    # Mask counts over 40 draws, recorded from the nested redraw loops the
-    # single one replaced: a change to the draw or rejection rule moves them.
+    # Mask counts over 40 draws, recorded from the one-stream reference
+    # draw_mask_reference over numpy's 40 spawned children of seed 9, one
+    # Generator per draw: a change to the draw or rejection rule moves them.
     q = population_coverage(
         ObservationSpec("intervals", p_obs=0.4, n_intervals=2),
         Grid.uniform(11),
         mc_draws=40,
         seed=9,
     )
-    counts = [19, 14, 14, 18, 13, 13, 13, 13, 13, 22, 23]
+    counts = [17, 21, 17, 12, 13, 10, 9, 15, 17, 24, 23]
     np.testing.assert_array_equal(q, np.array(counts, dtype=float) / 40)
 
 
-@pytest.mark.parametrize("mc_draws", [0, -1])
+@given(
+    seed=st.integers(0, 2**64),
+    mc_draws=st.integers(1, 8),
+    T=st.integers(3, 30),
+    p_obs=st.sampled_from([0.05, 0.2, 0.3, 0.5, 0.8, 1.0]),
+    n_intervals=st.integers(1, 3),
+)
+# numpy's tail-shuffle choice: 1000 slots out of 19001, drawn per attempt.
+@example(seed=6, mc_draws=3, T=21, p_obs=0.05, n_intervals=1000)
+@settings(max_examples=60, deadline=None)
+def test_interval_coverage_is_observe_coverage(seed, mc_draws, T, p_obs, n_intervals):
+    # Draw d reads child d's stream: the coverage of observe on mc_draws
+    # fully observed curves, and the mean of the one-stream reference.
+    try:
+        spec = ObservationSpec("intervals", p_obs=p_obs, n_intervals=n_intervals)
+    except ValueError:
+        assume(False)
+    grid = Grid.uniform(T)
+    q = population_coverage(spec, grid, mc_draws=mc_draws, seed=seed)
+    curves = FunctionalSample(grid, np.zeros((mc_draws, T)), np.ones((mc_draws, T), dtype=bool))
+    np.testing.assert_array_equal(q, observe(grid, curves, spec, seed).coverage)
+    masks = [draw_mask_reference(grid.points, spec, g) for g in numpy_streams(seed, mc_draws)]
+    np.testing.assert_array_equal(q, np.sum(masks, axis=0) / mc_draws)
+
+
+@pytest.mark.parametrize("mc_draws", [0, -1, 2.5, True])
 def test_population_coverage_needs_a_draw(mc_draws):
     spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
     with pytest.raises(ValueError):
@@ -131,6 +159,17 @@ def test_convergence_probe_order_independent():
     a = convergence_probe(model, [30, 60], probes, spec, seed=5)
     b = convergence_probe(model, [60, 30], probes, spec, seed=5)
     assert a == b
+
+
+def test_convergence_probe_interval_masks():
+    grid = Grid.uniform(51)
+    model = GpModel(grid=grid, theta=1.0)
+    probes = default_probe_curves(grid)[:4]
+    spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
+    table = convergence_probe(model, [20, 80], probes, spec, seed=3)
+    assert list(table) == [20, 80]
+    assert all(0.0 <= v <= 1.0 for v in table.values())
+    assert convergence_probe(model, [80, 20], probes, spec, seed=3) == table
 
 
 def _ndtr_edges() -> np.ndarray:

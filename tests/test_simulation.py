@@ -18,7 +18,6 @@ from pofda.simulate import (
     _cached_factor,
     _curve_rngs,
     _curve_states,
-    _draw_mask,
     _Streams,
     apply_contamination,
     contaminate,
@@ -27,7 +26,7 @@ from pofda.simulate import (
     simulate_sample,
 )
 
-from conftest import count_mask_runs
+from conftest import count_mask_runs, draw_mask_reference, numpy_streams
 
 
 @pytest.fixture
@@ -134,11 +133,6 @@ class TestCurveStreams:
             next(_curve_rngs(SeedSequence(0, n_children_spawned=2**32 - 1), 2))
 
 
-def numpy_streams(seed, n):
-    """Generator(PCG64(child)) for numpy's own spawned children of the seed."""
-    return [Generator(PCG64(child)) for child in SeedSequence(seed).spawn(n)]
-
-
 # Bounds that hit Lemire's rejection about half the time (2**31 + 1) or
 # never (powers of two), plus the widest 32-bit range.
 BOUNDS = [0, 1, 2, 3, 6, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2]
@@ -212,7 +206,7 @@ class TestVectorStreams:
         np.testing.assert_array_equal(streams.doubles(rows, 2), [g.random(2) for g in gens])
         grid = Grid.uniform(21)
         sample = flat_curves(grid, 2)
-        expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(6, 2)]
+        expected = [draw_mask_reference(grid.points, spec, g) for g in numpy_streams(6, 2)]
         np.testing.assert_array_equal(observe(grid, sample, spec, seed=6).mask, expected)
 
     def test_single_cell_intervals_draw_no_cut(self):
@@ -225,7 +219,7 @@ class TestVectorStreams:
         for p_obs in (0.8, 0.9):
             spec = ObservationSpec("intervals", p_obs=p_obs, n_intervals=1)
             assert spec._n_cells() == 1
-            expected = [_draw_mask(grid.points, spec, g) for g in numpy_streams(0, 3)]
+            expected = [draw_mask_reference(grid.points, spec, g) for g in numpy_streams(0, 3)]
             np.testing.assert_array_equal(observe(grid, curves, spec, seed=0).mask, expected)
         for p_obs in (0.55, 0.79):
             with pytest.raises(ValueError, match="always covers"):
@@ -265,7 +259,7 @@ class TestVectorStreams:
         sample = FunctionalSample(grid, np.zeros((n, T)), within)
         try:
             expected = [
-                _draw_mask(grid.points, spec, g, within[i])
+                draw_mask_reference(grid.points, spec, g, within[i])
                 for i, g in enumerate(numpy_streams(seed, n))
             ]
         except RuntimeError:
@@ -290,7 +284,8 @@ class TestVectorStreams:
         with mock.patch.object(simulate, "_BLOCK_BYTES", block_rows * grid.size):
             blocked = observe(grid, sample, spec, seed=5).mask
         expected = [
-            _draw_mask(grid.points, spec, g, within[i]) for i, g in enumerate(numpy_streams(5, 17))
+            draw_mask_reference(grid.points, spec, g, within[i])
+            for i, g in enumerate(numpy_streams(5, 17))
         ]
         np.testing.assert_array_equal(whole, expected)
         np.testing.assert_array_equal(blocked, expected)
@@ -502,8 +497,9 @@ class TestObserve:
                 return 0.5
 
         with pytest.raises(RuntimeError, match="stayed empty"):
-            _draw_mask(grid.points, ObservationSpec("centered", p_obs=0.2),
-                       CountingRng(), base.mask[0])
+            draw_mask_reference(
+                grid.points, ObservationSpec("centered", p_obs=0.2), CountingRng(), base.mask[0]
+            )
         assert CountingRng.calls == 2 * 1000
         with pytest.raises(RuntimeError, match="stayed empty"):
             observe(grid, base, ObservationSpec("centered", p_obs=0.2), seed=1)
