@@ -7,7 +7,7 @@ from .core import (
     build_sample,
 )
 from .depths import DepthKind
-from .poifd import DepthResult, ifd, k_functional, poifd_all, poifd_of
+from .poifd import DepthResult, ifd, poifd_all, poifd_of
 from .trimming import (
     LocationEstimate,
     TrimSpec,
@@ -42,7 +42,6 @@ __all__ = [
     "ifd",
     "poifd_of",
     "poifd_all",
-    "k_functional",
     "TrimSpec",
     "LocationEstimate",
     "select_trim",

@@ -30,7 +30,6 @@ __all__ = [
     "ifd",
     "poifd_of",
     "poifd_all",
-    "k_functional",
     "pointwise_depth_field",
 ]
 
@@ -103,21 +102,25 @@ def _query_counts(
     """Usable grid points of a curve and the counts (#<= x(t), #< x(t)).
 
     A point is usable where the curve and at least one sample curve are
-    observed; the counts run over the sample's observed values there,
-    unobserved slots being NaN, which compares False.
+    observed. Both counts run over the full (n, T) value matrix in place,
+    without copying it: unobserved slots hold NaN, which compares False,
+    so only observed values are counted, and the usable points are kept
+    at the end. Each comparison is summed as bytes into the narrowest
+    unsigned integer that holds n, so the counts are exact for any n;
+    they are returned as intp, so the depth formulas' products of counts
+    cannot wrap.
     """
     if len(curve) != sample.grid.size:
         raise ValueError("curve length does not match the sample grid")
     points = np.flatnonzero(curve.mask & (sample.counts > 0))
     if points.size == 0:
         raise ValueError("no sample curve observed on the curve's observation set")
-    observed = sample.values[:, points]
-    x = curve.values[points]
-    return (
-        points,
-        np.count_nonzero(observed <= x, axis=0),
-        np.count_nonzero(observed < x, axis=0),
+    acc = np.min_scalar_type(sample.values.shape[0])
+    c_le, c_lt = (
+        compare(sample.values, curve.values).view(np.uint8).sum(axis=0, dtype=acc)
+        for compare in (np.less_equal, np.less)
     )
+    return points, c_le[points].astype(np.intp), c_lt[points].astype(np.intp)
 
 
 def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarray:
@@ -215,7 +218,10 @@ def poifd_of(
     Grid points of the curve's observation set where no sample curve is
     observed carry no empirical information and are skipped. For a curve
     belonging to the sample this never happens and the result matches
-    its entry in `poifd_all` up to rounding.
+    its entry in `poifd_all` up to rounding. The counts at each usable
+    point run over the sample's full value matrix in place, with no
+    copy: an unobserved slot holds NaN, which compares False, so it
+    counts neither as <= x(t) nor as < x(t).
     """
     kind = DepthKind(kind)
     points, c_le, c_lt = _query_counts(sample, curve)
@@ -251,18 +257,3 @@ def ifd(
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts)
     return float((depth_vals * (1.0 / sample.grid.size)).sum())
 
-
-def k_functional(
-    sample: FunctionalSample,
-    curve: PartialCurve,
-    phi: PhiLike = "identity",
-) -> float:
-    """Weighted average of the raw ECDF values F_{n,t}(x(t)) along a curve.
-
-    Diagnostic companion of the integrated depths: the same coverage
-    weights phi(q_n) over the curve's usable points, integrating the
-    plain ECDF height instead of a depth.
-    """
-    points, c_le, _ = _query_counts(sample, curve)
-    base = _phi_of_coverage(phi, sample.coverage)
-    return _weighted_mean(c_le / sample.counts[points], base[points])

@@ -6,9 +6,11 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.depths import depth_from_counts
+from pofda.harness import reproduce_tables
 from pofda.simulate import (
     _MAX_MASK_RETRIES,
     ObservationKind,
+    _cached_factor,
     _centered_bounds,
     _length_accepted,
 )
@@ -109,3 +111,32 @@ def read_csv(path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def seed13_serial_tables(tmp_path_factory):
+    """One serial reproduce_tables(seed=13) from a cold factor cache, instrumented.
+
+    Returns (table paths, Cholesky calls, PartialCurve objects built).
+    The counters wrap the real functions, so the tables are the plain
+    run's bytes; every test that needs this run shares it.
+    """
+    factorizations, curves = [], []
+    real_cholesky = np.linalg.cholesky
+    real_init = PartialCurve.__init__
+    real_view = PartialCurve._row_view.__func__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            np.linalg, "cholesky", lambda a: factorizations.append(1) or real_cholesky(a)
+        )
+        mp.setattr(
+            PartialCurve, "__init__", lambda self, *a: curves.append(1) or real_init(self, *a)
+        )
+        mp.setattr(
+            PartialCurve,
+            "_row_view",
+            classmethod(lambda cls, *a: curves.append(1) or real_view(cls, *a)),
+        )
+        _cached_factor.cache_clear()
+        paths = reproduce_tables(tmp_path_factory.mktemp("seed13_serial"), seed=13, jobs=1)
+    return paths, len(factorizations), len(curves)

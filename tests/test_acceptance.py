@@ -299,10 +299,10 @@ def test_criterion_7_simulation_statistical_checks():
     assert ok, problems
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, seed13_serial_tables):
     """Byte-identical tables for equal seeds, serial and parallel, and
     equal to the pinned seed-13 digest of table1..4 concatenated."""
-    a = reproduce_tables(tmp_path / "serial_a", seed=13, jobs=1)
+    a, _, _ = seed13_serial_tables
     b = reproduce_tables(tmp_path / "serial_b", seed=13, jobs=1)
     c = reproduce_tables(tmp_path / "parallel", seed=13, jobs=4)
     identical = all(

@@ -3,8 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from pofda.core import PartialCurve
-from pofda.simulate import _cached_factor
 from pofda.harness import (
     RESULT_COLUMNS,
     ScenarioConfig,
@@ -187,25 +185,8 @@ def test_result_row_parsing_rejects_short_rows():
         ScenarioResult.from_row(["1", "2"])
 
 
-def test_tables_factor_each_covariance_once_and_build_no_curves(tmp_path, monkeypatch):
+def test_tables_factor_each_covariance_once_and_build_no_curves(seed13_serial_tables):
     """The seed-13 grid has two covariances (theta 50 and 80) on one grid."""
-    factorizations = []
-    real_cholesky = np.linalg.cholesky
-    monkeypatch.setattr(
-        np.linalg, "cholesky", lambda a: factorizations.append(1) or real_cholesky(a)
-    )
-    curves = []
-    real_init = PartialCurve.__init__
-    monkeypatch.setattr(
-        PartialCurve, "__init__", lambda self, *a: curves.append(1) or real_init(self, *a)
-    )
-    real_view = PartialCurve._row_view.__func__
-    monkeypatch.setattr(
-        PartialCurve,
-        "_row_view",
-        classmethod(lambda cls, *a: curves.append(1) or real_view(cls, *a)),
-    )
-    _cached_factor.cache_clear()
-    reproduce_tables(tmp_path, seed=13, jobs=1)
-    assert len(factorizations) == 2
-    assert curves == []
+    _, factorizations, curves = seed13_serial_tables
+    assert factorizations == 2
+    assert curves == 0

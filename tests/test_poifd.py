@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pofda import poifd
-from pofda.core import Grid, PartialCurve, build_sample
+from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
 from pofda.depths import DepthKind, depth_from_counts
 from pofda.poifd import (
     ifd,
-    k_functional,
     poifd_all,
     poifd_of,
     pointwise_depth_field,
@@ -197,37 +196,6 @@ class TestPoifd:
             poifd_of(s, probe)
 
 
-class TestKFunctional:
-    def test_constant_curves_uniform_weights(self):
-        # fully observed: the coverage weights are uniform
-        s = constant_sample([1.0, 2.0, 3.0])
-        assert k_functional(s, s.curves[1]) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_curve_above_all(self):
-        s = constant_sample([1.0, 2.0, 3.0])
-        high = PartialCurve.fully_observed([9.0, 9.0, 9.0])
-        assert k_functional(s, high, phi="identity") == 1.0
-
-    def test_curve_below_all(self):
-        s = constant_sample([1.0, 2.0, 3.0])
-        low = PartialCurve.fully_observed([-9.0, -9.0, -9.0])
-        assert k_functional(s, low) == 0.0
-
-    def test_fixed_weights_restricted_to_observed(self):
-        grid = Grid.uniform(4)
-        curves = [
-            PartialCurve.fully_observed([1.0, 1.0, 1.0, 1.0]),
-            PartialCurve.fully_observed([2.0, 2.0, 2.0, 2.0]),
-        ]
-        s = build_sample(grid, curves)
-        probe = PartialCurve(
-            np.array([1.5, 0.0, 0.0, 1.5]), np.array([True, False, False, True])
-        )
-        # fully observed sample, so the weights are uniform; F = 1/2 at
-        # both observed points regardless of renormalization
-        assert k_functional(s, probe) == pytest.approx(0.5, abs=1e-15)
-
-
 def _column_counts(sample, ell, x):
     """(#<= x, #< x, k) at one grid point by sorting its observed values."""
     return sorted_counts(sample.values[sample.mask[:, ell], ell], x)
@@ -246,15 +214,14 @@ def _field_reference(sample, kind):
 
 
 def _query_reference(sample, curve, kind):
-    """Usable points of a query curve with its depths and ECDF heights there."""
+    """Usable points of a query curve with its depths there."""
     points = np.nonzero(curve.mask & (sample.counts > 0))[0]
     depth = np.empty(points.size)
-    F = np.empty(points.size)
     for j, ell in enumerate(points):
-        c_le, c_lt, k = _column_counts(sample, ell, curve.values[ell])
-        depth[j] = depth_from_counts(kind, c_le, c_lt, k)
-        F[j] = c_le / k
-    return points, depth, F
+        depth[j] = depth_from_counts(
+            kind, *_column_counts(sample, ell, curve.values[ell])
+        )
+    return points, depth
 
 
 def _check_against_reference(sample, query):
@@ -266,13 +233,11 @@ def _check_against_reference(sample, query):
         field = pointwise_depth_field(sample, kind)
         assert field.tobytes() == _field_reference(sample, kind).tobytes()
 
-        points, depth, F = _query_reference(sample, query, kind)
+        points, depth = _query_reference(sample, query, kind)
         cov = sample.coverage[points]
         assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())
-        if kind is DepthKind.FRAIMAN_MUNIZ:
-            assert k_functional(sample, query) == float((F * cov).sum() / cov.sum())
 
-        _, depth, _ = _query_reference(full, full_query, kind)
+        _, depth = _query_reference(full, full_query, kind)
         T = full.grid.size
         assert ifd(full, full_query, kind) == float((depth * np.full(T, 1.0 / T)).sum())
 
@@ -345,3 +310,27 @@ class TestRankKernel:
         _check_against_reference(*_random_tied_case(n, T, gap))
         if T > 100:
             assert T > poifd._BLOCK_CELLS // n
+
+    def test_query_counts_beyond_16_bits(self):
+        # n = 2^16 + 1 with integer values: at points 0 and 1 the query
+        # ties the sample maximum, so #<= x(t) exceeds 2^16 - 1 there.
+        # Point 2 is half observed, and the query does not observe point 3.
+        n, T = (1 << 16) + 1, 4
+        rng = np.random.default_rng(n)
+        mask = np.ones((n, T), dtype=bool)
+        mask[: n // 2, 2] = False
+        mask[:5, 1] = False
+        sample = FunctionalSample(Grid.uniform(T), rng.integers(0, 4, size=(n, T)), mask)
+        query = PartialCurve(np.array([3.0, 3.0, 1.0, 2.0]), np.array([1, 1, 1, 0], bool))
+
+        points, c_le, c_lt = poifd._query_counts(sample, query)
+        np.testing.assert_array_equal(points, [0, 1, 2])
+        np.testing.assert_array_equal(
+            np.column_stack([c_le, c_lt, sample.counts[points]]),
+            [_column_counts(sample, ell, query.values[ell]) for ell in points],
+        )
+        assert c_le[0] == n
+        for kind in ALL_KINDS:
+            _, depth = _query_reference(sample, query, kind)
+            cov = sample.coverage[points]
+            assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())

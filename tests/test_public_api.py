@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "default_probe_curves",
     "ifd",
     "integrated_error",
-    "k_functional",
     "observe",
     "ordinary_mean",
     "poifd_all",
