@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from ._streams import seed_sequence
 from .core import Grid, PartialCurve
 from .depths import DepthKind, depth_from_counts
 from .poifd import PhiLike, _phi_of_coverage, _weighted_mean, poifd_of
@@ -29,7 +30,6 @@ from .simulate import (
     _draw_masks,
     observe,
     sample_gp,
-    seed_sequence,
 )
 
 __all__ = [

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
+from ._streams import seed_sequence
 from .core import Grid
 from .depths import DepthKind
 from .metrics import aggregate, integrated_error
@@ -30,7 +31,6 @@ from .simulate import (
     ObservationKind,
     ObservationSpec,
     _check_integer,
-    seed_sequence,
     simulate_sample,
 )
 from .trimming import ordinary_mean, resolved_keep_count, select_trim, trimmed_mean

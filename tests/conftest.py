@@ -29,6 +29,13 @@ def constant_sample(levels, grid_size=3):
     return build_sample(grid, curves)
 
 
+def flat_curves(grid, n, level=0.0):
+    """n fully observed constant curves at `level` on the grid."""
+    return build_sample(
+        grid, [PartialCurve.fully_observed(np.full(grid.size, level)) for _ in range(n)]
+    )
+
+
 def random_masked_sample(rng, n, T, p_missing=0.4):
     """Random values with random nonempty masks."""
     grid = Grid.uniform(T)

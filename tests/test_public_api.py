@@ -55,6 +55,7 @@ PUBLIC_NAMES = [
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORTING_DIRS = [ROOT / "perfbench", ROOT / "scripts"]
+PACKAGE_DIR = ROOT / "src" / "pofda"
 
 
 def _submodules():
@@ -72,6 +73,23 @@ def _pofda_imports():
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pofda"):
                 found.extend((node.module, alias.name) for alias in node.names)
     return found
+
+
+def _uses_numpy_random(node) -> bool:
+    """An import of numpy.random, or an `np.random` / `numpy.random` attribute."""
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (
+            module == "numpy" and any(a.name == "random" for a in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
 
 
 def test_package_all_resolves_and_is_pinned():
@@ -98,6 +116,24 @@ def test_benchmark_imports_resolve():
     assert ("pofda.consistency", "convergence_probe") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_only_streams_module_touches_numpy_random():
+    # numpy's stream contract lives in pofda._streams; every other module
+    # draws through it, and no module advances a seed by spawning from it.
+    random_users, spawners = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _uses_numpy_random(node):
+                random_users.add(path.name)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "spawn"
+            ):
+                spawners.add(path.name)
+    assert random_users == {"_streams.py"}
+    assert spawners == set()
 
 
 def test_import_loads_no_scipy():
