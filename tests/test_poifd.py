@@ -1,7 +1,3 @@
-import gc
-import sys
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -339,49 +335,9 @@ class TestRankKernel:
             cov = sample.coverage[points]
             assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())
 
-    def test_counts_ranked_once_per_sample(self):
-        # one rank block per sample here: n * T is below _BLOCK_CELLS
-        a = _random_tied_case(40, 30, 5)[0]
-        b = _random_tied_case(25, 12, None)[0]
-        with mock.patch.object(poifd, "_rank_counts", wraps=poifd._rank_counts) as rank:
-            for kind in ALL_KINDS:
-                poifd_all(a, kind=kind)
-            pointwise_depth_field(a, DepthKind.FRAIMAN_MUNIZ)
-            assert rank.call_count == 1
-            # one slot: the last sample scored keeps its counts
-            for sample in (a, b, a):
-                for kind in ALL_KINDS:
-                    field = pointwise_depth_field(sample, kind)
-                    assert field.tobytes() == _field_reference(sample, kind).tobytes()
-            assert rank.call_count == 3
-        ref = weakref.ref(a)
-        del a, sample
-        gc.collect()
-        assert ref() is None
-        assert poifd._counts_slot is None
-
-    def test_threads_sharing_the_slot_get_their_own_counts(self):
-        samples = [_random_tied_case(30 + i, 20, None)[0] for i in range(4)]
-        expected = [pointwise_depth_field(s, "simplicial").tobytes() for s in samples]
-        order = [[(i + j) % 4 for j in range(200)] for i in range(4)]
-
-        def score(picks):
-            return [pointwise_depth_field(samples[p], "simplicial").tobytes() for p in picks]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                futures = [pool.submit(score, picks) for picks in order]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for picks, got in zip(order, results):
-            assert got == [expected[p] for p in picks]
-
     def test_field_counts_beyond_15_bits(self):
         # n = 2^15 + 3 with values 0..3: ties push #<= x(t) past 2^15, so
-        # 2 * #<= x(t) would wrap in the uint16 counts
+        # 2 * #<= x(t) would wrap in counts held in uint16
         n, T = (1 << 15) + 3, 3
         rng = np.random.default_rng(n)
         mask = rng.random((n, T)) < 0.9
