@@ -182,10 +182,14 @@ def population_poifd(
     Marginals are N(trend(t), 1); the population depth replaces the
     pointwise ECDF with the exact CDF and the empirical coverage with
     Q(t), discretized as the same sum over the probe's observed grid
-    points as the sample version.
+    points as the sample version. The curve, `trend` and `coverage` each
+    need one value per grid point.
     """
     trend = np.asarray(trend, dtype=float)
     coverage = np.asarray(coverage, dtype=float)
+    for name, values in (("curve", curve.values), ("trend", trend), ("coverage", coverage)):
+        if values.shape != (grid.size,):
+            raise ValueError(f"{name} has shape {values.shape}, not one value per grid point")
     obs = curve.mask
     F = _ndtr(curve.values[obs] - trend[obs])
     # The marginal is atomless, so F(x-) = F(x): the count formulas with k = 1.
@@ -226,6 +230,11 @@ def convergence_probe(
     observation mechanism; seeds are keyed to (seed, n) so the returned
     table does not depend on the order of `sizes`.
     """
+    sizes = list(sizes)
+    for n in sizes:
+        _check_integer("sizes", n)
+        if n < 1:
+            raise ValueError(f"sizes must be at least 1, got {n!r}")
     grid = model.grid
     trend = model.trend_values()
     coverage = population_coverage(observation, grid, seed=seed)

@@ -177,7 +177,7 @@ class ScenarioResult:
 
 
 def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int):
-    """Simulate one replication; returns (sample, depth result, trim spec)."""
+    """Simulate one replication; returns (sample, trim spec)."""
     sample = simulate_sample(
         config.model(),
         config.n_curves,
@@ -185,9 +185,8 @@ def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int)
         config.observation_spec(),
         (config.seed, scenario_index, rep_index),
     )
-    result = poifd_all(sample, kind=config.depth, phi=config.phi)
-    trim = select_trim(result.poifd, config.alpha)
-    return sample, result, trim
+    depths = poifd_all(sample, kind=config.depth, phi=config.phi).poifd
+    return sample, select_trim(depths, config.alpha)
 
 
 def run_scenario(config: ScenarioConfig, scenario_index: int = 0) -> ScenarioResult:
@@ -196,7 +195,7 @@ def run_scenario(config: ScenarioConfig, scenario_index: int = 0) -> ScenarioRes
     plain_errors = []
     trim_errors = []
     for rep in range(config.n_reps):
-        sample, result, trim = run_replication(config, scenario_index, rep)
+        sample, trim = run_replication(config, scenario_index, rep)
         plain_errors.append(integrated_error(ordinary_mean(sample), truth))
         trim_errors.append(integrated_error(trimmed_mean(sample, trim), truth))
     plain = aggregate(plain_errors)
@@ -256,9 +255,11 @@ def _run_indexed(task: tuple[ScenarioConfig, int]) -> ScenarioResult:
 
 
 def _run_many(tasks: list[tuple[ScenarioConfig, int]], jobs: int) -> list[ScenarioResult]:
-    if jobs <= 1:
+    # a pool may start every worker at once, so none beyond one per task
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_run_indexed(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_indexed, tasks))
 
 
@@ -284,8 +285,12 @@ def reproduce_tables(
 ) -> list[Path]:
     """Run the full scenario grid and write table1.csv .. table4.csv.
 
-    Output is deterministic in `seed` and independent of `jobs`.
+    Output is deterministic in `seed` and independent of `jobs`, the
+    number of worker processes (at most one per scenario).
     """
+    _check_integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = table_configs(seed, n_reps=n_reps, grid_len=grid_len)

@@ -96,7 +96,7 @@ def plot_data(config: ScenarioConfig, out_dir, svg: bool = True) -> dict[str, Pa
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sample, result, trim = run_replication(config, scenario_index=0, rep_index=0)
+    sample, trim = run_replication(config, scenario_index=0, rep_index=0)
 
     names = curve_names(sample.n_curves)
     kept_names = [names[i] for i in trim.kept]

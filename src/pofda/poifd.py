@@ -64,9 +64,8 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells per block: grid columns ranked per pass in the depth field, and
-# curves per pass in poifd_all, so the temporaries stay small however
-# large n is.
+# Cells per block of grid columns ranked per pass in the depth field,
+# so its temporaries stay small however large n is.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -151,28 +150,15 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
 
 @dataclass(frozen=True)
 class DepthResult:
-    """Depths of every curve in a sample plus their building blocks.
+    """Integrated depth of every curve in a sample, as a read-only array.
 
-    `contributions` holds the pointwise depth field D(x_i(t), P_{t,n}) and
-    `weights` the per-curve normalized coverage weights; both are NaN at
-    unobserved slots, and per curve the weights sum to 1 over its
-    observed points, so `poifd` can be re-checked as the weighted sum of
-    the contributions.
+    The per-point depths behind it are `pointwise_depth_field`'s.
     """
 
     poifd: np.ndarray
-    contributions: np.ndarray
-    weights: np.ndarray
-    kind: DepthKind
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "poifd", _readonly(np.asarray(self.poifd, float)))
-        object.__setattr__(self, "contributions", _readonly(self.contributions))
-        object.__setattr__(self, "weights", _readonly(self.weights))
-
-    @property
-    def n_curves(self) -> int:
-        return int(self.poifd.size)
 
 
 def poifd_all(
@@ -191,10 +177,8 @@ def poifd_all(
     phi : str or callable
         Coverage-weight shaping function on [0, 1].
     """
-    contributions = pointwise_depth_field(sample, kind)
-    base = _phi_of_coverage(phi, sample.coverage)
-
-    weights = np.where(sample.mask, base, 0.0)
+    field = pointwise_depth_field(sample, kind)
+    weights = np.where(sample.mask, _phi_of_coverage(phi, sample.coverage), 0.0)
     norms = weights.sum(axis=1)
     if np.any(norms <= 0.0):
         bad = int(np.nonzero(norms <= 0.0)[0][0])
@@ -202,19 +186,10 @@ def poifd_all(
             f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
         )
     weights /= norms[:, None]
-    # The kept weights are the only (n, T) array built here. The weighted
-    # depths follow in blocks of curves, each row still summed whole and
-    # contiguous, so no (n, T) temporary is freed: malloc would hand a
-    # freed top block back and fault it in on the next call.
-    depths = np.empty(weights.shape[0])
-    rows = max(1, _BLOCK_CELLS // weights.shape[1])
-    for start in range(0, weights.shape[0], rows):
-        block = slice(start, start + rows)
-        weighted = np.where(sample.mask[block], contributions[block], 0.0)
-        weighted *= weights[block]
-        depths[block] = weighted.sum(axis=1)
-    np.copyto(weights, np.nan, where=~sample.mask)
-    return DepthResult(depths, contributions, weights, DepthKind(kind))
+    # unobserved slots hold NaN in the field and weigh 0
+    np.copyto(field, 0.0, where=~sample.mask)
+    field *= weights
+    return DepthResult(field.sum(axis=1))
 
 
 def poifd_of(

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from pofda import consistency
 from pofda.core import FunctionalSample, Grid, PartialCurve
 from pofda.consistency import (
     _ndtr,
@@ -120,6 +121,14 @@ class TestPopulationPoifd:
         assert population_poifd(probe, grid, trend, coverage, kind="tukey") == pytest.approx(0.5)
         assert population_poifd(probe, grid, trend, coverage, kind="simplicial") == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "curve_len, trend_len, coverage_len", [(51, 51, 51), (101, 50, 101), (101, 101, 100)]
+    )
+    def test_rejects_lengths_off_the_grid(self, curve_len, trend_len, coverage_len):
+        probe = PartialCurve.fully_observed(np.zeros(curve_len))
+        with pytest.raises(ValueError, match="grid point"):
+            population_poifd(probe, Grid.uniform(101), np.zeros(trend_len), np.ones(coverage_len))
+
     def test_far_curve_is_shallow(self):
         grid = Grid.uniform(31)
         trend = 4.0 * grid.points
@@ -159,6 +168,17 @@ def test_convergence_probe_order_independent():
     a = convergence_probe(model, [30, 60], probes, spec, seed=5)
     b = convergence_probe(model, [60, 30], probes, spec, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("sizes", [[50.7], [True], ["20"], [20, 0], [20, -3]])
+def test_convergence_probe_checks_sizes_before_drawing(sizes, monkeypatch):
+    grid = Grid.uniform(21)
+    draws = []
+    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    spec = ObservationSpec("centered", p_obs=0.5)
+    with pytest.raises(ValueError, match="sizes"):
+        convergence_probe(GpModel(grid=grid, theta=1.0), sizes, default_probe_curves(grid), spec, seed=0)
+    assert draws == []
 
 
 def test_convergence_probe_interval_masks():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pofda import harness
 from pofda.harness import (
     RESULT_COLUMNS,
     ScenarioConfig,
@@ -135,6 +136,34 @@ class TestReproduceTables:
             assert pa.read_bytes() == pb.read_bytes()
             rows = read_results_csv(pa)
             assert len(rows) == 12
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
+    def test_rejects_bad_jobs(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # no pool may start
+        with pytest.raises(ValueError, match="jobs"):
+            reproduce_tables(tmp_path, seed=1, jobs=jobs, n_reps=1, grid_len=10)
+
+    def test_pool_starts_at_most_one_worker_per_scenario(self, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        pooled = reproduce_tables(tmp_path / "pooled", seed=2, jobs=500, n_reps=1, grid_len=10)
+        serial = reproduce_tables(tmp_path / "serial", seed=2, n_reps=1, grid_len=10)
+        assert started == [48]
+        assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in serial]
 
     def test_roundtrip_equality(self, tmp_path):
         cfg = ScenarioConfig(grid_len=30, n_curves=8, n_reps=2, seed=1)

@@ -112,15 +112,21 @@ class TestPoifd:
             expected = depth_oracle(kind, s.values[:, 1], 5.5)
             assert poifd_of(s, s.curves[2], kind=kind) == pytest.approx(expected, abs=1e-15)
 
-    def test_weights_normalized_and_recheckable(self, rng):
-        s = random_masked_sample(rng, 9, 12)
-        res = poifd_all(s, kind="fm")
-        sums = np.nansum(res.weights, axis=1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-        recomputed = np.nansum(res.weights * res.contributions, axis=1)
-        np.testing.assert_allclose(recomputed, res.poifd, atol=1e-12)
-        assert np.isnan(res.weights[~s.mask]).all()
-        assert np.isnan(res.contributions[~s.mask]).all()
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("phi", ["identity", "sqrt"])
+    def test_weighted_mean_of_the_depth_field(self, rng, kind, phi):
+        # each depth is the phi(q_n)-weighted mean of the curve's pointwise
+        # depths over its observed points
+        for n, T in [(9, 12), (1, 5), (30, 17)]:
+            s = random_masked_sample(rng, n, T)
+            field = pointwise_depth_field(s, kind)
+            assert np.isnan(field[~s.mask]).all()
+            weights = resolve_phi(phi)(s.coverage)
+            expected = [
+                np.average(field[i, s.mask[i]], weights=weights[s.mask[i]]) for i in range(n)
+            ]
+            got = poifd_all(s, kind=kind, phi=phi).poifd
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_range_zero_one(self, rng):
         # tukey and fm always land in [0, 1]; the plug-in simplicial
