@@ -7,8 +7,12 @@ SRC_DIR defaults to this checkout's `src/`; point it at the `src/` of
 another checkout (e.g. one made with `git archive`) to time that
 version on the same inputs. Prints one JSON object: the best-of-repeats
 milliseconds of `pointwise_depth_field` (Fraiman-Muniz) on masked
-normal samples, and of one `poifd_of` query at n = 10^4, T = 101,
-plus the sha256 of every output, so two versions can be checked equal.
+normal samples, and of one `poifd_of` query at n = 10^4, T = 101
+(Fraiman-Muniz, which counts #<= x only, and Tukey, which also counts
+#< x), plus the sha256 of the depth fields and the Fraiman-Muniz query,
+so two versions can be checked equal. Both queries are also checked
+against a plain two-comparison numpy reference; the Tukey query stays
+out of the digest, which predates it.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path.insert(0, str(SRC))
 
 from pofda.core import Grid, PartialCurve, build_sample  # noqa: E402
+from pofda.depths import depth_from_counts  # noqa: E402
 from pofda.poifd import poifd_of, pointwise_depth_field  # noqa: E402
 
 FIELD_SIZES = [(80, 200), (1000, 200), (80, 2000), (10_000, 200)]
@@ -47,6 +52,16 @@ def best_ms(fn):
     return round(best * 1e3, 3), np.asarray(out).tobytes()
 
 
+def query_reference(sample, probe, kind):
+    """poifd_of with identity phi, from two full comparisons per point."""
+    points = np.flatnonzero(probe.mask & (sample.counts > 0))
+    c_le = (sample.values <= probe.values).sum(axis=0)[points]
+    c_lt = (sample.values < probe.values).sum(axis=0)[points]
+    depth = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
+    weights = sample.coverage[points]
+    return float((depth * weights).sum() / weights.sum())
+
+
 def main():
     times, digest = {}, hashlib.sha256()
     for n, T in FIELD_SIZES:
@@ -59,6 +74,12 @@ def main():
     ms, out = best_ms(lambda: poifd_of(sample, probe))
     times["poifd_of.n10000_T101"] = ms
     digest.update(out)
+    ms, tukey = best_ms(lambda: poifd_of(sample, probe, "tukey"))
+    times["poifd_of.tukey.n10000_T101"] = ms
+    for kind, got in (("fm", out), ("tukey", tukey)):
+        want = np.float64(query_reference(sample, probe, kind)).tobytes()
+        if got != want:
+            raise SystemExit(f"poifd_of ({kind}) differs from the two-comparison reference")
     print(json.dumps({"ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))
 
 

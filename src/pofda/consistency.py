@@ -228,13 +228,18 @@ def convergence_probe(
 
     For each n a fresh sample is drawn from the model and masked by the
     observation mechanism; seeds are keyed to (seed, n) so the returned
-    table does not depend on the order of `sizes`.
+    table does not depend on the order of `sizes`. The sizes and the
+    probes (at least one, each one value per grid point) are checked
+    before any sample is drawn.
     """
     sizes = list(sizes)
     for n in sizes:
         _check_integer("sizes", n)
         if n < 1:
             raise ValueError(f"sizes must be at least 1, got {n!r}")
+    probes = list(probes)
+    if not probes:
+        raise ValueError("probes is empty: the sup discrepancy needs at least one probe curve")
     grid = model.grid
     trend = model.trend_values()
     coverage = population_coverage(observation, grid, seed=seed)

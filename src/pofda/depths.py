@@ -51,6 +51,12 @@ _COUNT_KERNELS = {
 }
 
 
+# The kinds whose formula above reads #< x. A caller counting for any
+# other kind (Fraiman-Muniz reads #<= x only) may skip that count and
+# pass c_lt=None.
+_READS_LT = frozenset({DepthKind.TUKEY, DepthKind.SIMPLICIAL})
+
+
 def depth_from_counts(kind: DepthKind, c_le, c_lt, k):
     """Sample depth from the counts (#<= x, #< x) out of k observations."""
     return _COUNT_KERNELS[DepthKind(kind)](c_le, c_lt, k)

@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import FunctionalSample, PartialCurve, _readonly
-from .depths import DepthKind, depth_from_counts
+from .depths import _READS_LT, DepthKind, depth_from_counts
 
 __all__ = [
     "PhiLike",
@@ -94,31 +94,55 @@ def _rank_counts(block: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, 
     return order, c_le, c_lt
 
 
+def _count_columns(hits: np.ndarray) -> np.ndarray:
+    """Number of True entries in each column of a fresh C-contiguous bool
+    matrix, as intp; `hits` is overwritten.
+
+    While at least 128 rows remain, the rows are folded pairwise in place
+    as bytes, the lower half added onto the upper half, at most 7 times:
+    after f folds a byte holds a count of at most 2^f rows, so none
+    wraps. The rows that remain are summed into the narrowest unsigned
+    type that holds the row count, so the counts are exact for any
+    number of rows. Fewer rows sum faster than they fold.
+    """
+    rows = hits.view(np.uint8)
+    acc = np.min_scalar_type(rows.shape[0])
+    for _ in range(7):
+        m = rows.shape[0]
+        if m < 128:
+            break
+        half = m // 2
+        rows[:half] += rows[m - half :]
+        rows = rows[: m - half]
+    return rows.sum(axis=0, dtype=acc).astype(np.intp)
+
+
 def _query_counts(
-    sample: FunctionalSample, curve: PartialCurve
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sample: FunctionalSample, curve: PartialCurve, kind: DepthKind | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Usable grid points of a curve and the counts (#<= x(t), #< x(t)).
 
     A point is usable where the curve and at least one sample curve are
-    observed. Both counts run over the full (n, T) value matrix in place,
-    without copying it: unobserved slots hold NaN, which compares False,
-    so only observed values are counted, and the usable points are kept
-    at the end. Each comparison is summed as bytes into the narrowest
-    unsigned integer that holds n, so the counts are exact for any n;
-    they are returned as intp, so the depth formulas' products of counts
-    cannot wrap.
+    observed. #< x(t) is counted only when `kind` is None or a kind whose
+    depth formula reads it (Tukey, simplicial); for any other kind
+    (Fraiman-Muniz) it is None, so the query takes one comparison
+    instead of two. Each comparison runs over the full (n, T) value
+    matrix in place, without copying it: unobserved slots hold NaN,
+    which compares False, so only observed values are counted, and the
+    usable points are kept at the end. Its bool result is counted per
+    column by `_count_columns`, exactly and as intp, so the depth
+    formulas' products of counts cannot wrap.
     """
     if len(curve) != sample.grid.size:
         raise ValueError("curve length does not match the sample grid")
     points = np.flatnonzero(curve.mask & (sample.counts > 0))
     if points.size == 0:
         raise ValueError("no sample curve observed on the curve's observation set")
-    acc = np.min_scalar_type(sample.values.shape[0])
-    c_le, c_lt = (
-        compare(sample.values, curve.values).view(np.uint8).sum(axis=0, dtype=acc)
-        for compare in (np.less_equal, np.less)
-    )
-    return points, c_le[points].astype(np.intp), c_lt[points].astype(np.intp)
+    c_le = _count_columns(np.less_equal(sample.values, curve.values))[points]
+    c_lt = None
+    if kind is None or DepthKind(kind) in _READS_LT:
+        c_lt = _count_columns(np.less(sample.values, curve.values))[points]
+    return points, c_le, c_lt
 
 
 def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarray:
@@ -206,10 +230,12 @@ def poifd_of(
     its entry in `poifd_all` up to rounding. The counts at each usable
     point run over the sample's full value matrix in place, with no
     copy: an unobserved slot holds NaN, which compares False, so it
-    counts neither as <= x(t) nor as < x(t).
+    counts neither as <= x(t) nor as < x(t). Fraiman-Muniz reads #<= x(t)
+    only and takes one comparison; Tukey and simplicial take two. Each
+    comparison is counted per column by folding its rows as bytes.
     """
     kind = DepthKind(kind)
-    points, c_le, c_lt = _query_counts(sample, curve)
+    points, c_le, c_lt = _query_counts(sample, curve, kind)
     base = _phi_of_coverage(phi, sample.coverage)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts[points])
     return _weighted_mean(depth_vals, base[points])
@@ -238,7 +264,7 @@ def ifd(
     if not curve.is_fully_observed:
         raise ValueError("ifd requires a fully observed curve")
     # every point is usable: both sample and curve are fully observed
-    _, c_le, c_lt = _query_counts(sample, curve)
+    _, c_le, c_lt = _query_counts(sample, curve, kind)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts)
     return float((depth_vals * (1.0 / sample.grid.size)).sum())
 

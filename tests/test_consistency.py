@@ -181,6 +181,33 @@ def test_convergence_probe_checks_sizes_before_drawing(sizes, monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize(
+    "probes, match",
+    [
+        ([], "probes is empty"),
+        (iter([]), "probes is empty"),
+        ([PartialCurve.fully_observed(np.zeros(20))], "one value per grid point"),
+    ],
+)
+def test_convergence_probe_checks_probes_before_drawing(probes, match, monkeypatch):
+    grid = Grid.uniform(21)
+    draws = []
+    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    spec = ObservationSpec("centered", p_obs=0.5)
+    with pytest.raises(ValueError, match=match):
+        convergence_probe(GpModel(grid=grid, theta=1.0), [20], probes, spec, seed=0)
+    assert draws == []
+
+
+def test_convergence_probe_accepts_a_generator_of_probes():
+    grid = Grid.uniform(31)
+    model = GpModel(grid=grid, theta=1.0)
+    probes = default_probe_curves(grid)[:3]
+    spec = ObservationSpec("centered", p_obs=0.5)
+    expected = convergence_probe(model, [30], probes, spec, seed=2)
+    assert convergence_probe(model, [30], iter(probes), spec, seed=2) == expected
+
+
 def test_convergence_probe_interval_masks():
     grid = Grid.uniform(51)
     model = GpModel(grid=grid, theta=1.0)

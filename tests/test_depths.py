@@ -94,6 +94,18 @@ def test_dispatch_matches_direct():
             np.testing.assert_array_equal(depth_from_counts(name, *counts), fn(*counts))
 
 
+def test_kinds_that_skip_lt_do_not_read_it():
+    # A query counting for a kind outside _READS_LT skips #< x and passes
+    # c_lt=None: such a formula must give the same bytes without it.
+    assert depths._READS_LT == {DepthKind.TUKEY, DepthKind.SIMPLICIAL}
+    c_le, c_lt, k = sorted_counts([1.0, 2.0, 2.0, 3.0, 5.0], np.array([0.0, 1.0, 2.0, 4.0, 9.0]))
+    for kind in set(DepthKind) - depths._READS_LT:
+        assert (
+            depth_from_counts(kind, c_le, None, k).tobytes()
+            == depth_from_counts(kind, c_le, c_lt, k).tobytes()
+        )
+
+
 @given(
     values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=25),
     query=st.integers(-1000, 1000),

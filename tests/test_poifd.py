@@ -354,3 +354,38 @@ class TestRankKernel:
         for kind in ALL_KINDS:
             field = pointwise_depth_field(sample, kind)
             assert field.tobytes() == _field_reference(sample, kind).tobytes()
+
+
+class TestQueryCounts:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 1000, (1 << 16) + 1]
+    )
+    def test_count_columns_matches_sum(self, n):
+        # columns all True, all False and random; the byte folds must
+        # neither wrap at 2^8 nor drop the odd middle row of a fold
+        rng = np.random.default_rng(n)
+        hits = np.column_stack(
+            [np.ones(n, bool), np.zeros(n, bool), rng.random((n, 3)) < [0.1, 0.5, 0.97]]
+        )
+        expected = hits.sum(axis=0)
+        counts = poifd._count_columns(hits.copy())
+        assert counts.dtype == np.intp
+        np.testing.assert_array_equal(counts, expected)
+        assert counts[0] == n and counts[1] == 0
+
+    def test_lt_counted_only_for_kinds_that_read_it(self):
+        sample, query = _random_tied_case(300, 9, 4)
+        points, c_le, c_lt = poifd._query_counts(sample, query)
+        assert c_lt is not None
+        np.testing.assert_array_equal(
+            np.column_stack([c_le, c_lt, sample.counts[points]]),
+            [_column_counts(sample, ell, query.values[ell]) for ell in points],
+        )
+        for kind in ALL_KINDS:
+            got = poifd._query_counts(sample, query, kind)
+            np.testing.assert_array_equal(got[0], points)
+            np.testing.assert_array_equal(got[1], c_le)
+            if kind in (DepthKind.TUKEY, DepthKind.SIMPLICIAL):
+                np.testing.assert_array_equal(got[2], c_lt)
+            else:
+                assert got[2] is None
