@@ -26,7 +26,7 @@ import numpy as np
 SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from pofda.core import Grid, PartialCurve, build_sample  # noqa: E402
+from pofda.core import FunctionalSample, Grid, PartialCurve  # noqa: E402
 from pofda.depths import depth_from_counts  # noqa: E402
 from pofda.poifd import poifd_of, pointwise_depth_field  # noqa: E402
 
@@ -39,7 +39,7 @@ def masked_sample(n, T, seed):
     values = rng.normal(size=(n, T))
     mask = rng.random((n, T)) > 0.3
     mask[~mask.any(axis=1), 0] = True
-    return build_sample(Grid.uniform(T), [PartialCurve(v, m) for v, m in zip(values, mask)])
+    return FunctionalSample(Grid.uniform(T), values, mask)
 
 
 def best_ms(fn):

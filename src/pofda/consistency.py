@@ -164,9 +164,8 @@ def population_coverage(
         return np.ones(grid.size)
     if spec.kind is ObservationKind.CENTERED_INTERVAL:
         return centered_coverage(grid, spec.p_obs)
-    masks = np.empty((mc_draws, grid.size), dtype=bool)
-    _draw_masks(masks, grid.points, spec, seed, np.broadcast_to(True, masks.shape))
-    return masks.sum(axis=0) / mc_draws
+    within = np.broadcast_to(True, (mc_draws, grid.size))
+    return _draw_masks(grid.points, spec, seed, within).sum(axis=0) / mc_draws
 
 
 def population_poifd(

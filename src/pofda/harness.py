@@ -319,6 +319,9 @@ def load_scenarios(path) -> list[ScenarioConfig]:
         data = [data]
     if not isinstance(data, list):
         raise ValueError("scenario file must hold an object or a list of objects")
+    for index, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValueError(f"scenario entry {index} is not an object: {item!r}")
     return [ScenarioConfig.from_dict(item) for item in data]
 
 

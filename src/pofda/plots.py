@@ -7,6 +7,7 @@ curve panel and a lower coverage panel.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def render_sample_svg(path, sample: FunctionalSample, title: str = "") -> None:
         f'<rect width="{_W:.0f}" height="{_H:.0f}" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{_MARGIN}" y="20" font-size="14">{title}</text>')
+        parts.append(f'<text x="{_MARGIN}" y="20" font-size="14">{escape(title)}</text>')
     for i in range(sample.n_curves):
         ys = np.where(sample.mask[i], sample.values[i], 0.0)
         for run in _polylines(xs, y_pixel(ys), sample.mask[i]):

@@ -4,8 +4,11 @@ Curves follow the trend 4t plus a zero-mean Gaussian process with covariance
 0.5 ** (|t - s| * theta). Contamination adds magnitude shifts to a
 random fraction of curves (symmetric or one-sided sign, full path or
 only beyond a random onset). Observation mechanisms then mask each
-curve to a random union of grid intervals. Each stage takes and returns
-a :class:`FunctionalSample`; :func:`simulate_sample` chains all three.
+curve to a random union of grid intervals. Each stage is a private step
+on an (n, T) value or mask matrix; :func:`simulate_sample` chains the
+three and validates one :class:`FunctionalSample` at the end. The public
+`sample_gp`, `contaminate` and `observe` run one step each and wrap its
+result in a validated sample.
 
 Curve i of a stage draws from the i-th stream of the stage seed
 (`_streams` holds that contract), so serial and parallel generation
@@ -35,7 +38,6 @@ __all__ = [
     "ObservationKind",
     "ObservationSpec",
     "sample_gp",
-    "apply_contamination",
     "contaminate",
     "observe",
     "simulate_sample",
@@ -119,8 +121,8 @@ def _factor_covariance(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
-    """Draw n fully observed curves trend + L z with i.i.d. normal z.
+def _gp_values(model: GpModel, n: int, seed) -> np.ndarray:
+    """The (n, T) values of n curves trend + L z with i.i.d. normal z.
 
     Curve i is produced from the i-th spawned child of the seed, so the
     result does not depend on generation order. A SeedSequence seed is
@@ -132,13 +134,18 @@ def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
     if n < 1:
         raise ValueError("need at least one curve")
     L = model.covariance_factor()
-    g = model.trend_values()
     T = model.grid.size
     values = np.empty((n, T))
     for i, rng in enumerate(_curve_rngs(seed, n)):
         values[i] = L @ rng.standard_normal(T)
-    values += g
-    return FunctionalSample(model.grid, values, np.ones((n, T), dtype=bool))
+    values += model.trend_values()
+    return values
+
+
+def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
+    """Draw n fully observed curves trend + L z, one stream per curve (see `_gp_values`)."""
+    values = _gp_values(model, n, seed)
+    return FunctionalSample(model.grid, values, np.ones(values.shape, dtype=bool))
 
 
 class ContaminationKind(str, Enum):
@@ -170,62 +177,46 @@ def _check_grid(grid: Grid, sample: FunctionalSample) -> None:
         raise ValueError("grid does not match the sample's grid")
 
 
-def apply_contamination(
-    grid: Grid,
-    sample: FunctionalSample,
-    kind: ContaminationKind,
-    magnitude: float,
-    flags,
-    signs,
-    onsets,
-) -> FunctionalSample:
-    """Apply shift contamination with explicitly supplied draws.
+def _draws(spec: ContaminationSpec, n: int, seed):
+    """Per-curve contamination flags (0/1), signs (+-1) and onsets in [0, 1).
 
-    flags (0/1 per curve) select contaminated curves, signs (+-1) the
-    direction for the symmetric kinds, onsets the per-curve threshold
-    beyond which the partial kind shifts. Curves must be fully observed:
-    contamination happens before masking.
+    All three draws are consumed for every curve regardless of kind, so
+    the same seed contaminates the same curves under each kind.
     """
-    _check_grid(grid, sample)
-    kind = ContaminationKind(kind)
-    flags = np.asarray(flags, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    onsets = np.asarray(onsets, dtype=float)
-    n = sample.n_curves
-    if flags.shape != (n,) or signs.shape != (n,) or onsets.shape != (n,):
-        raise ValueError("flags, signs, and onsets must have one entry per curve")
-    if not sample.mask.all():
-        raise ValueError("contamination applies to fully observed curves")
+    u = _Streams(*_curve_states(seed, n)).doubles(np.arange(n), 3)
+    flags = np.where(u[:, 0] < spec.q, 1.0, 0.0)
+    signs = np.where(u[:, 1] < 0.5, 1.0, -1.0)
+    return flags, signs, u[:, 2]
 
-    if kind is ContaminationKind.NONE:
-        return sample
+
+def _shift(points, kind: ContaminationKind, magnitude: float, flags, signs, onsets) -> np.ndarray:
+    """The shift each curve gets: (n, 1), or (n, T) for the partial kind.
+
+    flags (0/1 arrays) select contaminated curves, signs (+-1) the
+    direction for the symmetric kinds, onsets the threshold beyond which
+    the partial kind shifts.
+    """
     if kind is ContaminationKind.ASYMMETRIC:
         shift = (flags * magnitude)[:, None]
     else:
         shift = (flags * signs * magnitude)[:, None]
     if kind is ContaminationKind.PARTIAL:  # shift only where t >= onset
-        shift = np.where(grid.points >= onsets[:, None], shift, 0.0)
-    return FunctionalSample(grid, sample.values + shift, sample.mask)
+        shift = np.where(points >= onsets[:, None], shift, 0.0)
+    return shift
 
 
 def contaminate(
     grid: Grid, sample: FunctionalSample, spec: ContaminationSpec, seed
 ) -> FunctionalSample:
-    """Draw contamination indicators per curve and apply the shifts.
-
-    All three draws (flag, sign, onset) are consumed for every curve
-    regardless of kind, so the same seed contaminates the same curves
-    under each kind.
-    """
+    """Draw contamination per curve and shift the fully observed curves."""
     if spec.kind is ContaminationKind.NONE:
         return sample
-    n = sample.n_curves
-    u = _Streams(*_curve_states(seed, n)).doubles(np.arange(n), 3)
-    flags = np.where(u[:, 0] < spec.q, 1.0, 0.0)
-    signs = np.where(u[:, 1] < 0.5, 1.0, -1.0)
-    return apply_contamination(
-        grid, sample, spec.kind, spec.magnitude, flags, signs, u[:, 2]
-    )
+    _check_grid(grid, sample)
+    if not sample.mask.all():
+        raise ValueError("contamination applies to fully observed curves")
+    draws = _draws(spec, sample.n_curves, seed)
+    shift = _shift(grid.points, spec.kind, spec.magnitude, *draws)
+    return FunctionalSample(grid, sample.values + shift, sample.mask)
 
 
 class ObservationKind(str, Enum):
@@ -322,10 +313,8 @@ def _mask_attempt(
     return _interval_masks(pts, spec.p_obs, cuts, picks)
 
 
-def _draw_masks(
-    out: np.ndarray, pts: np.ndarray, spec: ObservationSpec, seed, within: np.ndarray
-) -> None:
-    """Fill `out` with a nonempty mask per curve inside `within`, all curves at once.
+def _draw_masks(pts: np.ndarray, spec: ObservationSpec, seed, within: np.ndarray) -> np.ndarray:
+    """A nonempty mask per curve (row) inside `within`, all curves at once.
 
     Row i gets what the per-curve reference in tests/conftest.py draws
     from curve i's Generator: an attempt that is rejected or leaves no
@@ -334,6 +323,7 @@ def _draw_masks(
     curve index, so the block size changes no byte. Each attempt redraws
     the rows whose mask is still empty, at most _MAX_MASK_RETRIES times.
     """
+    out = np.empty(within.shape, dtype=bool)
     states = _curve_states(seed, out.shape[0])
     doubles = spec._n_cells() - 1 if spec.kind is ObservationKind.RANDOM_INTERVALS else 2
     step = max(1, _BLOCK_BYTES // max(pts.size, 8 * doubles))
@@ -351,6 +341,7 @@ def _draw_masks(
                 break
         else:
             raise RuntimeError("observation mask stayed empty after maximum retries")
+    return out
 
 
 def observe(
@@ -366,8 +357,7 @@ def observe(
     # the draw's temporaries, and the small blocks numpy caches after
     # them, cannot split the free heap space that copy then reuses.
     slot = np.empty(sample.values.shape)
-    mask = np.empty(sample.mask.shape, dtype=bool)
-    _draw_masks(mask, grid.points, spec, seed, sample.mask)
+    mask = _draw_masks(grid.points, spec, seed, sample.mask)
     del slot
     return FunctionalSample(grid, sample.values, mask)
 
@@ -381,12 +371,18 @@ def simulate_sample(
 ) -> FunctionalSample:
     """Draw, contaminate and mask n curves: the package's one simulation pipeline.
 
-    The root seed's next three children, the ones numpy's spawn(3)
-    would return, seed one stage each, so each stage's draws are
-    independent of the others' settings. The root is read, not advanced:
-    passing the same SeedSequence again repeats the sample.
+    The steps of `sample_gp`, `contaminate` and `observe` run on one
+    value matrix and one mask, validated once, so the bytes are those of
+    the three stages chained. The root seed's next three children, the
+    ones numpy's spawn(3) would return, seed one stage each, so each
+    stage's draws are independent of the others' settings. The root is
+    read, not advanced: passing the same SeedSequence again repeats it.
     """
     gp_seed, cont_seed, obs_seed = _children(root_seed, 3)
-    sample = sample_gp(model, n, gp_seed)
-    sample = contaminate(model.grid, sample, contamination, cont_seed)
-    return observe(model.grid, sample, observation, obs_seed)
+    pts = model.grid.points
+    values = _gp_values(model, n, gp_seed)
+    if contamination.kind is not ContaminationKind.NONE:
+        draws = _draws(contamination, n, cont_seed)
+        values += _shift(pts, contamination.kind, contamination.magnitude, *draws)
+    mask = _draw_masks(pts, observation, obs_seed, np.broadcast_to(True, values.shape))
+    return FunctionalSample(model.grid, values, mask)

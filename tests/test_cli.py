@@ -67,6 +67,14 @@ def test_run_scenario_with_config_and_overrides(tmp_path):
     assert rows[1].pollution_type == "asymmetric"
 
 
+def test_run_scenario_rejects_non_object_entry(tmp_path, capsys):
+    cfg = tmp_path / "scenarios.json"
+    cfg.write_text(json.dumps([{"n_curves": 8}, "n_curves"]))
+    code = run_cli("run-scenario", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"))
+    assert code == 1
+    assert "error: scenario entry 1 is not an object: 'n_curves'" in capsys.readouterr().err
+
+
 def test_run_scenario_flags_only(tmp_path):
     out = tmp_path / "row.csv"
     code = run_cli("run-scenario", "--n", "8", "--len", "25", "--reps", "2",

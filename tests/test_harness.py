@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pofda import harness
+from pofda.core import FunctionalSample
 from pofda.harness import (
     RESULT_COLUMNS,
     ScenarioConfig,
@@ -202,6 +203,15 @@ class TestScenarioFile:
         with pytest.raises(ValueError):
             load_scenarios(bad)
 
+    @pytest.mark.parametrize(
+        "entries, index", [(["n_curves"], 0), ([1], 0), ([{"alpha": 0.3}, None], 1)]
+    )
+    def test_load_rejects_non_object_entries(self, tmp_path, entries, index):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match=f"scenario entry {index} is not an object"):
+            load_scenarios(bad)
+
     def test_apply_overrides(self):
         cfg = ScenarioConfig()
         out = apply_overrides(cfg, {"alpha": 0.3, "q": None})
@@ -212,6 +222,17 @@ class TestScenarioFile:
 def test_result_row_parsing_rejects_short_rows():
     with pytest.raises(ValueError):
         ScenarioResult.from_row(["1", "2"])
+
+
+def test_tables_validate_one_sample_per_replication(tmp_path, monkeypatch):
+    """simulate_sample chains its stages on bare matrices: 48 scenarios x 2 reps, 96 samples."""
+    built = []
+    real = FunctionalSample.__post_init__
+    monkeypatch.setattr(
+        FunctionalSample, "__post_init__", lambda self: built.append(1) or real(self)
+    )
+    reproduce_tables(tmp_path, seed=1, n_reps=2, grid_len=20)
+    assert len(built) == 96
 
 
 def test_tables_factor_each_covariance_once_and_build_no_curves(seed13_serial_tables):

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 
 from pofda.core import Grid
@@ -68,3 +70,10 @@ def test_render_svg_handles_masked_runs(tmp_path, rng):
     text = out.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert "polyline" in text
+
+
+def test_render_svg_escapes_title(tmp_path, rng):
+    out = tmp_path / "fig.svg"
+    render_sample_svg(out, random_masked_sample(rng, 3, 10), title="q < 0.1 & M = 25")
+    title = ET.parse(out).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "q < 0.1 & M = 25"

@@ -8,11 +8,12 @@ from numpy.random import SeedSequence, default_rng
 
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.simulate import (
+    ContaminationKind,
     ContaminationSpec,
     GpModel,
     ObservationSpec,
     _cached_factor,
-    apply_contamination,
+    _shift,
     contaminate,
     observe,
     sample_gp,
@@ -30,6 +31,12 @@ def grid():
 @pytest.fixture
 def model(grid):
     return GpModel(grid=grid, theta=4.0)
+
+
+def forced_shift(grid, kind, magnitude, flags, signs, onsets):
+    """`_shift` on the grid with explicitly supplied per-curve draws."""
+    draws = (np.asarray(d, dtype=float) for d in (flags, signs, onsets))
+    return _shift(grid.points, ContaminationKind(kind), magnitude, *draws)
 
 
 def other_grids(grid):
@@ -125,33 +132,28 @@ class TestContaminate:
         out = contaminate(grid, curves, ContaminationSpec("none"), seed=0)
         assert out.values.tolist() == curves.values.tolist()
 
+    # The shift step fed explicit draws: contaminate adds its result to
+    # the fully observed values.
+
     def test_partial_forced_draws(self, grid):
         curves = flat_curves(grid, 1)
-        out = apply_contamination(
-            grid, curves, "partial", 25.0, flags=[1.0], signs=[1.0], onsets=[0.5]
-        )
+        out = curves.values + forced_shift(grid, "partial", 25.0, [1.0], [1.0], [0.5])
         shifted = grid.points >= 0.5
-        np.testing.assert_array_equal(out.values[0, shifted], 25.0)
-        np.testing.assert_array_equal(out.values[0, ~shifted], 0.0)
+        np.testing.assert_array_equal(out[0, shifted], 25.0)
+        np.testing.assert_array_equal(out[0, ~shifted], 0.0)
 
     def test_sym_equals_asym_with_positive_signs(self, grid):
         curves = flat_curves(grid, 3, level=2.0)
         flags = [1.0, 0.0, 1.0]
-        sym = apply_contamination(
-            grid, curves, "sym", 5.0, flags=flags, signs=[1.0] * 3, onsets=[0.0] * 3
-        )
-        asym = apply_contamination(
-            grid, curves, "asym", 5.0, flags=flags, signs=[-1.0] * 3, onsets=[0.0] * 3
-        )
-        np.testing.assert_array_equal(sym.values, asym.values)
+        sym = curves.values + forced_shift(grid, "sym", 5.0, flags, [1.0] * 3, [0.0] * 3)
+        asym = curves.values + forced_shift(grid, "asym", 5.0, flags, [-1.0] * 3, [0.0] * 3)
+        np.testing.assert_array_equal(sym, asym)
 
     def test_unflagged_curves_exact(self, grid):
         curves = flat_curves(grid, 2, level=3.0)
-        out = apply_contamination(
-            grid, curves, "sym", 25.0, flags=[0.0, 1.0], signs=[1.0, -1.0], onsets=[0.0, 0.0]
-        )
-        np.testing.assert_array_equal(out.values[0], curves.values[0])
-        np.testing.assert_array_equal(out.values[1], curves.values[1] - 25.0)
+        out = curves.values + forced_shift(grid, "sym", 25.0, [0.0, 1.0], [1.0, -1.0], [0.0, 0.0])
+        np.testing.assert_array_equal(out[0], curves.values[0])
+        np.testing.assert_array_equal(out[1], curves.values[1] - 25.0)
 
     def test_deterministic(self, grid):
         curves = flat_curves(grid, 10)
@@ -347,7 +349,9 @@ def test_pipeline_determinism_end_to_end(grid):
 # sha256 of values.tobytes() + mask.tobytes() for simulate_sample(model, 9,
 # ...) with theta 6 on a 17-point grid, root seed 11, q 0.5, M 3, p_obs 0.5,
 # two intervals. Recorded from the per-curve object pipeline this one
-# replaced; a change in any stage's bytes shows up here.
+# replaced; a change in any stage's bytes shows up here. The public stages
+# chained on the root's spawn(3) must give the same bytes: simulate_sample
+# runs their steps on bare matrices, a second code path.
 PINNED_SAMPLE_SHA256 = {
     ("none", "full"): "63afa29c8b4135eb78752801044daca9a5b457ed1684d3169b2bc94a7f44a407",
     ("none", "intervals"): "1ac408e08aec4b997eb32601267f8c9cd07e08503507eed490330c054c107def",
@@ -364,18 +368,28 @@ PINNED_SAMPLE_SHA256 = {
 }
 
 
+def chained_stages(model, n, contamination, observation, root_seed):
+    return staged(model, n, contamination, observation, SeedSequence(root_seed).spawn(3))
+
+
 @pytest.mark.parametrize(
-    "contamination, observation",
-    list(itertools.product(["none", "sym", "asym", "partial"], ["full", "intervals", "centered"])),
+    "pipeline, contamination, observation",
+    [
+        pytest.param(pipeline, c, o, id=f"{prefix}{c}-{o}")
+        for pipeline, prefix in ((simulate_sample, ""), (chained_stages, "stages-"))
+        for c, o in itertools.product(
+            ["none", "sym", "asym", "partial"], ["full", "intervals", "centered"]
+        )
+    ],
 )
-def test_pipeline_bytes_pinned(contamination, observation):
+def test_pipeline_bytes_pinned(pipeline, contamination, observation):
     model = GpModel(grid=Grid.uniform(17), theta=6.0)
-    s = simulate_sample(
+    s = pipeline(
         model,
         9,
         ContaminationSpec(contamination, q=0.5, magnitude=3.0),
         ObservationSpec(observation, p_obs=0.5, n_intervals=2),
-        root_seed=11,
+        11,
     )
     digest = hashlib.sha256(s.values.tobytes() + s.mask.tobytes()).hexdigest()
     assert digest == PINNED_SAMPLE_SHA256[(contamination, observation)]

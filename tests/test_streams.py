@@ -19,10 +19,11 @@ from pofda import simulate
 from pofda._streams import _curve_rngs, _curve_states, _Streams
 from pofda.core import FunctionalSample, Grid
 from pofda.simulate import (
+    ContaminationKind,
     ContaminationSpec,
     GpModel,
     ObservationSpec,
-    apply_contamination,
+    _shift,
     contaminate,
     observe,
     sample_gp,
@@ -282,11 +283,11 @@ class TestVectorStreams:
         grid = Grid.uniform(15)
         curves = sample_gp(GpModel(grid=grid, theta=3.0), n, seed=1)
         u = np.array([g.random(3) for g in numpy_streams(seed, n)])
-        expected = apply_contamination(
-            grid, curves, kind, 5.0,
+        expected = curves.values + _shift(
+            grid.points, ContaminationKind(kind), 5.0,
             flags=np.where(u[:, 0] < q, 1.0, 0.0),
             signs=np.where(u[:, 1] < 0.5, 1.0, -1.0),
             onsets=u[:, 2],
         )
         got = contaminate(grid, curves, ContaminationSpec(kind, q=q, magnitude=5.0), seed)
-        np.testing.assert_array_equal(got.values, expected.values)
+        np.testing.assert_array_equal(got.values, expected)
