@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .depths import DepthKind
 from .harness import (
     ScenarioConfig,
-    apply_overrides,
     load_scenarios,
     reproduce_tables,
     run_scenario,
@@ -71,9 +71,9 @@ def _scenario_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioC
     overrides = {
         name: value
         for name, value in vars(args).items()
-        if name in ScenarioConfig.__dataclass_fields__
+        if name in ScenarioConfig.__dataclass_fields__ and value is not None
     }
-    return apply_overrides(base, overrides)
+    return replace(base, **overrides)
 
 
 def _cmd_simulate(args) -> int:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from itertools import islice
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -94,8 +96,13 @@ class ScenarioConfig:
         object.__setattr__(self, "contamination", ContaminationKind(self.contamination))
         object.__setattr__(self, "observation", ObservationKind(self.observation))
         object.__setattr__(self, "depth", DepthKind(self.depth))
-        for name in ("grid_len", "n_curves", "n_reps"):
+        for name in ("grid_len", "n_curves", "n_reps", "seed"):
             _check_integer(name, getattr(self, name))
+        for name in ("q", "magnitude", "alpha", "p_obs", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                if not (name == "theta" and value is None):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.grid_len < 2:
             raise ValueError("grid_len must be at least 2")
         if self.n_curves < 1:
@@ -249,18 +256,13 @@ def table_configs(seed: int, n_reps: int = 10, grid_len: int = 200) -> list[list
     return tables
 
 
-def _run_indexed(task: tuple[ScenarioConfig, int]) -> ScenarioResult:
-    config, index = task
-    return run_scenario(config, index)
-
-
-def _run_many(tasks: list[tuple[ScenarioConfig, int]], jobs: int) -> list[ScenarioResult]:
-    # a pool may start every worker at once, so none beyond one per task
-    workers = min(jobs, len(tasks))
+def _run_many(configs: list[ScenarioConfig], jobs: int) -> list[ScenarioResult]:
+    # a pool may start every worker at once, so none beyond one per scenario
+    workers = min(jobs, len(configs))
     if workers <= 1:
-        return [_run_indexed(t) for t in tasks]
+        return list(map(run_scenario, configs, range(len(configs))))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_indexed, tasks))
+        return list(pool.map(run_scenario, configs, range(len(configs))))
 
 
 def write_results_csv(path, results: Sequence[ScenarioResult]) -> None:
@@ -294,19 +296,11 @@ def reproduce_tables(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = table_configs(seed, n_reps=n_reps, grid_len=grid_len)
-    tasks = []
-    index = 0
-    for rows in tables:
-        for config in rows:
-            tasks.append((config, index))
-            index += 1
-    results = _run_many(tasks, jobs)
+    results = iter(_run_many([config for rows in tables for config in rows], jobs))
     paths = []
-    cursor = 0
     for tnum, rows in enumerate(tables, start=1):
         path = out_dir / f"table{tnum}.csv"
-        write_results_csv(path, results[cursor : cursor + len(rows)])
-        cursor += len(rows)
+        write_results_csv(path, list(islice(results, len(rows))))
         paths.append(path)
     return paths
 
@@ -323,9 +317,3 @@ def load_scenarios(path) -> list[ScenarioConfig]:
         if not isinstance(item, dict):
             raise ValueError(f"scenario entry {index} is not an object: {item!r}")
     return [ScenarioConfig.from_dict(item) for item in data]
-
-
-def apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    """Non-None overrides replace the corresponding config fields."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **updates) if updates else config

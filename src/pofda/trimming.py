@@ -50,7 +50,14 @@ class TrimSpec:
     kept: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kept", _frozen(np.asarray(self.kept, dtype=int)))
+        kept = np.asarray(self.kept)
+        if kept.size == 0:
+            raise ValueError("trim keeps no curves")
+        if kept.ndim != 1 or kept.dtype.kind not in "iu" or (kept[1:] <= kept[:-1]).any():
+            raise ValueError(f"kept must be strictly increasing curve indices, got {kept!r}")
+        if kept.size != self.keep_count:
+            raise ValueError(f"kept holds {kept.size} curves but keep_count is {self.keep_count}")
+        object.__setattr__(self, "kept", _frozen(kept.astype(int)))
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,10 @@ def select_trim(depths, alpha: float) -> TrimSpec:
     depths = np.asarray(depths, dtype=float)
     if depths.ndim != 1 or depths.size == 0:
         raise ValueError("depths must be a nonempty 1-d array")
+    finite = np.isfinite(depths)
+    if not finite.all():
+        first = np.flatnonzero(~finite)[0]
+        raise ValueError(f"depth of curve {first} is not finite: {depths[first]}")
     n = depths.size
     m = resolved_keep_count(n, alpha)
     # Stable argsort of the negated depths orders ties by curve index.
@@ -100,28 +111,27 @@ def trimmed_mean(sample: FunctionalSample, trim: TrimSpec) -> LocationEstimate:
 
     Where some curve is observed but no retained one, the estimate falls
     back to the mean over all observing curves and the point is flagged;
-    where nothing is observed the estimate is undefined.
+    where nothing is observed the estimate is undefined. The all-curve
+    mean is taken only when such a point exists.
     """
-    if trim.kept.size == 0:
-        raise ValueError("trim keeps no curves")
-    if trim.kept.min() < 0 or trim.kept.max() >= sample.n_curves:
+    if trim.kept[0] < 0 or trim.kept[-1] >= sample.n_curves:
         raise ValueError("kept indices out of range for this sample")
 
-    kept_mean, kept_has = _pointwise_mean(
-        sample.values[trim.kept], sample.mask[trim.kept]
-    )
-    all_mean, any_has = _pointwise_mean(sample.values, sample.mask)
-
-    fallback = any_has & ~kept_has
-    values = np.where(fallback, all_mean, kept_mean)
-    return LocationEstimate(values=values, defined_mask=any_has, fallback_mask=fallback)
+    values, kept_has = _pointwise_mean(sample.values[trim.kept], sample.mask[trim.kept])
+    defined = sample.counts > 0
+    fallback = defined & ~kept_has
+    if fallback.any():
+        # Over the whole matrix, as ordinary_mean sums: a column subset
+        # rounds differently.
+        values[fallback] = _pointwise_mean(sample.values, sample.mask)[0][fallback]
+    return LocationEstimate(values=values, defined_mask=defined, fallback_mask=fallback)
 
 
 def ordinary_mean(sample: FunctionalSample) -> LocationEstimate:
     """Pointwise mean over all observing curves; undefined at coverage gaps."""
-    values, has = _pointwise_mean(sample.values, sample.mask)
+    defined = sample.counts > 0
     return LocationEstimate(
-        values=values,
-        defined_mask=has,
-        fallback_mask=np.zeros(has.shape, dtype=bool),
+        values=_pointwise_mean(sample.values, sample.mask)[0],
+        defined_mask=defined,
+        fallback_mask=np.zeros_like(defined),
     )

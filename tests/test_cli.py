@@ -8,7 +8,7 @@ import pytest
 import pofda.cli
 from pofda.cli import main
 from pofda.io import read_curves_csv
-from pofda.harness import read_results_csv, run_scenario
+from pofda.harness import ScenarioConfig, read_results_csv, run_scenario
 from pofda.trimming import resolved_keep_count
 
 from conftest import read_csv
@@ -73,6 +73,27 @@ def test_run_scenario_rejects_non_object_entry(tmp_path, capsys):
     code = run_cli("run-scenario", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"))
     assert code == 1
     assert "error: scenario entry 1 is not an object: 'n_curves'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [({"q": "0.1"}, "q must be a real number, got '0.1'"),
+     ({"seed": True}, "seed must be an integer, got True")],
+    ids=["q_str", "seed_bool"],
+)
+def test_run_scenario_rejects_wrong_typed_values(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(entry))
+    code = run_cli("run-scenario", "--config", str(cfg), "--out", str(tmp_path / "row.csv"))
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_scenario_config_overrides_only_given_fields():
+    base = ScenarioConfig()
+    out = pofda.cli._scenario_config(argparse.Namespace(alpha=0.3, q=None), base)
+    assert out.alpha == 0.3 and out.q == base.q
+    assert pofda.cli._scenario_config(argparse.Namespace(alpha=None), base) == base
 
 
 def test_run_scenario_flags_only(tmp_path):

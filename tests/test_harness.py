@@ -9,7 +9,6 @@ from pofda.harness import (
     RESULT_COLUMNS,
     ScenarioConfig,
     ScenarioResult,
-    apply_overrides,
     load_scenarios,
     read_results_csv,
     reproduce_tables,
@@ -57,12 +56,20 @@ class TestScenarioConfig:
             {"observation": "intervals", "n_intervals": 2.5},
             {"n_reps": 2.5},
             {"n_reps": True},
+            {"q": "0.1"},
+            {"magnitude": True},
+            {"alpha": "0.2"},
+            {"p_obs": None},
+            {"theta": "10"},
+            {"seed": True},
+            {"seed": 1.0},
         ],
         ids=[
             "q", "magnitude", "alpha", "p_obs", "n_intervals", "phi",
             "theta_zero", "theta_negative", "theta_nan", "seed_negative",
             "grid_len_float", "n_curves_float", "n_intervals_float",
-            "n_reps_float", "n_reps_bool",
+            "n_reps_float", "n_reps_bool", "q_str", "magnitude_bool",
+            "alpha_str", "p_obs_none", "theta_str", "seed_bool", "seed_float",
         ],
     )
     def test_bad_field_fails_at_construction(self, bad):
@@ -157,8 +164,8 @@ class TestReproduceTables:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         pooled = reproduce_tables(tmp_path / "pooled", seed=2, jobs=500, n_reps=1, grid_len=10)
@@ -211,12 +218,6 @@ class TestScenarioFile:
         bad.write_text(json.dumps(entries))
         with pytest.raises(ValueError, match=f"scenario entry {index} is not an object"):
             load_scenarios(bad)
-
-    def test_apply_overrides(self):
-        cfg = ScenarioConfig()
-        out = apply_overrides(cfg, {"alpha": 0.3, "q": None})
-        assert out.alpha == 0.3 and out.q == cfg.q
-        assert apply_overrides(cfg, {"alpha": None}) == cfg
 
 
 def test_result_row_parsing_rejects_short_rows():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pofda.core import Grid, PartialCurve, build_sample
+from pofda import trimming
+from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
 from pofda.poifd import poifd_all
 from pofda.trimming import (
+    TrimSpec,
     ordinary_mean,
     resolved_keep_count,
     select_trim,
@@ -56,6 +58,15 @@ class TestSelectTrim:
         with pytest.raises(ValueError):
             select_trim([0.5], alpha=-0.1)
 
+    @pytest.mark.parametrize(
+        "depths, alpha, first_bad",
+        [([np.nan, 0.5, 0.2], 0.34, 0), ([np.nan, 0.5, 0.2], 0.0, 0), ([0.5, np.inf, -np.inf], 0.0, 1)],
+        ids=["nan", "nan_alpha_zero", "inf"],
+    )
+    def test_rejects_non_finite_depths(self, depths, alpha, first_bad):
+        with pytest.raises(ValueError, match=f"depth of curve {first_bad} is not finite"):
+            select_trim(depths, alpha)
+
     def test_keep_count_matches_decimal_floor(self):
         # float 30 * 0.7 is slightly below 21; the snap keeps the
         # decimal-arithmetic answer
@@ -64,6 +75,17 @@ class TestSelectTrim:
                 alpha = tenth / 10
                 expected = n - math.floor(Fraction(tenth, 10) * n)
                 assert resolved_keep_count(n, alpha) == expected, (n, alpha)
+
+
+class TestTrimSpec:
+    @pytest.mark.parametrize(
+        "keep_count, kept",
+        [(3, [0, 0, 1]), (2, [1, 0]), (2, [0.7, 1.2]), (2, [[0], [1]]), (5, [0]), (0, [])],
+        ids=["repeated", "decreasing", "float", "two_d", "count_mismatch", "empty"],
+    )
+    def test_rejects_malformed_kept(self, keep_count, kept):
+        with pytest.raises(ValueError):
+            TrimSpec(0.2, keep_count, 0.5, kept)
 
 
 class TestTrimmedMean:
@@ -101,6 +123,37 @@ class TestTrimmedMean:
         assert est.values[2] == 9.0  # all-curve mean there
         assert est.defined_mask.all()
         np.testing.assert_allclose(est.values[:2], 0.5)
+
+    def test_all_curve_mean_only_at_coverage_gaps(self, monkeypatch):
+        rows = []
+        real = trimming._pointwise_mean
+
+        def counted(values, mask):
+            rows.append(values.shape[0])
+            return real(values, mask)
+
+        monkeypatch.setattr(trimming, "_pointwise_mean", counted)
+        trim = select_trim([0.9, 0.8, 0.1], alpha=1 / 3)
+        trimmed_mean(constant_sample([0.0, 1.0, 9.0], grid_size=3), trim)
+        assert rows == [2]  # kept rows only: no coverage gap
+        rows.clear()
+        mask = np.array([[True, True, False], [True, True, False], [True, True, True]])
+        gap = FunctionalSample(Grid.uniform(3), np.zeros((3, 3)), mask)
+        assert trimmed_mean(gap, trim).fallback_mask[2]
+        assert rows == [2, 3]
+
+    def test_fallback_sums_like_ordinary_mean(self, rng):
+        # Only the 50 dropped curves observe the last 10 columns; the
+        # fallback there must round exactly as ordinary_mean does.
+        values = rng.normal(scale=10.0, size=(200, 30))
+        mask = rng.random((200, 30)) < 0.7
+        mask[:, 0] = True
+        mask[:150, 20:] = False
+        sample = FunctionalSample(Grid.uniform(30), values, mask)
+        est = trimmed_mean(sample, select_trim(np.r_[np.ones(150), np.zeros(50)], alpha=0.25))
+        fallback = np.arange(30) >= 20
+        np.testing.assert_array_equal(est.fallback_mask, fallback)
+        assert est.values[fallback].tobytes() == ordinary_mean(sample).values[fallback].tobytes()
 
     def test_undefined_where_nothing_observed(self):
         grid = Grid.uniform(3)
