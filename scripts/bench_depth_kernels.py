@@ -5,7 +5,9 @@
 
 SRC_DIR defaults to this checkout's `src/`; point it at the `src/` of
 another checkout (e.g. one made with `git archive`) to time that
-version on the same inputs. Prints one JSON object: the best-of-repeats
+version on the same inputs. Prints one JSON object: the number of CPUs
+the process may run on (the depth field ranks large samples on up to one
+thread per CPU; `taskset -c 0` pins it to one), the best-of-repeats
 milliseconds of `pointwise_depth_field` (Fraiman-Muniz) on masked
 normal samples, and of one `poifd_of` query at n = 10^4, T = 101
 (Fraiman-Muniz, which counts #<= x only, and Tukey, which also counts
@@ -17,6 +19,7 @@ out of the digest, which predates it.
 
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -80,7 +83,8 @@ def main():
         want = np.float64(query_reference(sample, probe, kind)).tobytes()
         if got != want:
             raise SystemExit(f"poifd_of ({kind}) differs from the two-comparison reference")
-    print(json.dumps({"ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(json.dumps({"cpus": cpus, "ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ integrated depth with uniform point weights.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -65,33 +67,109 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
 
 
 # Cells per block of grid columns ranked per pass in the depth field,
-# so its temporaries stay small however large n is.
+# so its temporaries stay small however large n is. A sample of at
+# least 2 * _BLOCK_CELLS cells is ranked on up to one thread per CPU the
+# process may run on, in blocks that many times narrower, so the cells
+# in flight across all threads stay at _BLOCK_CELLS. Each block writes
+# only its own columns of the field, so the bytes do not depend on the
+# thread count; `taskset` pins the process to fewer CPUs.
 _BLOCK_CELLS = 1 << 16
 
 
-def _rank_counts(block: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort order of each row of `block`, cut to its first `keep`
-    positions, with the counts (#<= v, #< v) of the entry v at each of
-    them among its row.
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Rows of `block` are grid columns, unobserved slots hold +inf: it
-    sorts after every (finite) observed value, so an observed entry is
-    counted among the observed ones only, and unlike NaN it keeps
-    numpy's vectorized argsort path. With no row observed more than
-    `keep` times, the cut drops unobserved slots only. In sorted order,
-    #< v is the start of v's tie group and #<= v its end.
+
+def _depth_field(sample: FunctionalSample, kind: DepthKind, fill: float) -> np.ndarray:
+    """Per-curve per-point sample depths, `fill` where a curve is unobserved.
+
+    Each block of grid columns is gathered transposed, one row per
+    column, with +inf in unobserved slots: `values` holds NaN exactly
+    there, and fmin(NaN, inf) is inf. +inf sorts after every (finite)
+    observed value, so an observed entry is counted among the observed
+    ones only, and unlike NaN it keeps numpy's vectorized argsort path.
+    Each row's sort order is cut to the block's largest column count,
+    which drops unobserved slots only; those left in the cut get `fill`.
+    In sorted order #< v is the start of v's tie group and #<= v its
+    end. Both come from one scan over the block's ranked values read as
+    one flat run, with a group start forced at every row start, and #< v
+    only for the kinds whose formula reads it. The depths are written
+    straight to their (curve, point) slots, each block to its own
+    columns, on up to `_cpu_count()` threads for large samples.
     """
-    order = np.argsort(block, axis=1)[:, :keep]
-    ranked = np.take_along_axis(block, order, axis=1)
-    new_group = ranked[:, 1:] != ranked[:, :-1]
-    pos = np.arange(1, keep)
-    # a group start is the last new-group position at or before it ...
-    c_lt = np.zeros(order.shape, np.intp)
-    np.maximum.accumulate(np.where(new_group, pos, 0), axis=1, out=c_lt[:, 1:])
-    # ... and a group end the first one after it, by a reversed scan
-    c_le = np.full(order.shape, keep, np.intp)
-    np.minimum.accumulate(np.where(new_group, pos, keep)[:, ::-1], axis=1, out=c_le[:, -2::-1])
-    return order, c_le, c_lt
+    kind = DepthKind(kind)
+    values, counts = sample.values, sample.counts
+    n, T = values.shape
+    out = np.full((n, T), fill)
+    # k = 1 in a column no curve observes only keeps the division defined
+    k = np.maximum(counts, 1)
+    # at least one grid column per thread
+    workers = min(_cpu_count(), T) if n * T >= 2 * _BLOCK_CELLS else 1
+    width = max(1, _BLOCK_CELLS // (n * workers))
+
+    def rank(start: int) -> None:
+        cols = slice(start, start + width)
+        keep = int(counts[cols].max())
+        if keep == 0:  # no curve observes these columns
+            return
+        w = min(width, T - start)
+        block = np.empty((w, n))
+        np.fmin(values[:, cols].T, np.inf, out=block)
+        # flat index into `block` of each kept entry, in sorted order
+        order = np.argsort(block, axis=1)[:, :keep]
+        order += np.arange(0, w * n, n)[:, None]
+        ranked = block.reshape(-1)[order].reshape(-1)
+        # temporaries are dropped as soon as they are read: each thread's
+        # peak stays resident in its own malloc arena
+        del block
+        size = w * keep
+        row_starts = np.arange(0, size, keep)
+        # a group starts at each new value and at each row start; the
+        # sentinel at `size` starts one past the last row
+        new_group = np.empty(size + 1, bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:size])
+        del ranked
+        new_group[row_starts] = True
+        new_group[size] = True
+        pos = np.arange(size + 1)
+        # a group ends where the next one starts, found by a reversed scan ...
+        c_le = np.where(new_group, pos, size)[::-1]
+        np.minimum.accumulate(c_le, out=c_le)
+        c_le = c_le[-2::-1].reshape(w, keep)
+        c_le -= row_starts[:, None]
+        # ... and starts at the last group start at or before it
+        c_lt = None
+        if kind in _READS_LT:
+            c_lt = np.multiply(pos, new_group, out=pos)
+            np.maximum.accumulate(c_lt, out=c_lt)
+            c_lt = c_lt[:size].reshape(w, keep)
+            c_lt -= row_starts[:, None]
+        depth = depth_from_counts(kind, c_le, c_lt, k[cols, None])
+        # the cut keeps the unobserved slots of the less observed columns
+        np.copyto(depth, fill, where=np.arange(keep) >= counts[cols, None])
+        # entry r * n + i of `block` is curve i at grid point start + r
+        order *= T
+        order += (start - np.arange(w) * (n * T - 1))[:, None]
+        out.reshape(-1)[order] = depth
+
+    def rank_every(first: int) -> None:
+        for start in range(first * width, T, workers * width):
+            rank(start)
+
+    if workers == 1:
+        rank_every(0)
+        return out
+    # the calling thread ranks one share of the blocks itself, so one
+    # thread and one malloc arena fewer hold block temporaries
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = pool.map(rank_every, range(1, workers))
+        rank_every(0)
+        list(others)
+    return out
 
 
 def _count_columns(hits: np.ndarray) -> np.ndarray:
@@ -153,23 +231,7 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
     depths are evaluated in each grid column's sorted order and written
     straight to their (curve, point) slots.
     """
-    kind = DepthKind(kind)
-    n, T = sample.values.shape
-    out = np.empty((n, T))
-    # a column no curve observes is NaN throughout; k = 1 there only
-    # keeps the division defined
-    k = np.maximum(sample.counts, 1)
-    width = max(1, _BLOCK_CELLS // n)
-    for start in range(0, T, width):
-        cols = slice(start, start + width)
-        block = np.where(sample.mask[:, cols], sample.values[:, cols], np.inf).T.copy()
-        order, c_le, c_lt = _rank_counts(block, sample.counts[cols].max())
-        # flat index into `out` of each entry in sorted order
-        order *= T
-        order += np.arange(start, start + block.shape[0])[:, None]
-        out.reshape(-1)[order] = depth_from_counts(kind, c_le, c_lt, k[cols, None])
-    np.copyto(out, np.nan, where=~sample.mask)
-    return out
+    return _depth_field(sample, kind, np.nan)
 
 
 @dataclass(frozen=True)
@@ -201,7 +263,7 @@ def poifd_all(
     phi : str or callable
         Coverage-weight shaping function on [0, 1].
     """
-    field = pointwise_depth_field(sample, kind)
+    field = _depth_field(sample, kind, 0.0)
     weights = np.where(sample.mask, _phi_of_coverage(phi, sample.coverage), 0.0)
     norms = weights.sum(axis=1)
     if np.any(norms <= 0.0):
@@ -210,8 +272,7 @@ def poifd_all(
             f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
         )
     weights /= norms[:, None]
-    # unobserved slots hold NaN in the field and weigh 0
-    np.copyto(field, 0.0, where=~sample.mask)
+    # unobserved slots hold 0 in the field and weigh 0
     field *= weights
     return DepthResult(field.sum(axis=1))
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -236,8 +240,15 @@ def _check_against_reference(sample, query):
     )
     full_query = PartialCurve.fully_observed(np.nan_to_num(query.values))
     for kind in ALL_KINDS:
-        field = pointwise_depth_field(sample, kind)
-        assert field.tobytes() == _field_reference(sample, kind).tobytes()
+        # the field ranked on 1 and on 4 threads, and poifd_all's bytes
+        # the same under both
+        want = _field_reference(sample, kind).tobytes()
+        depths = set()
+        for cpus in (1, 4):
+            with mock.patch.object(poifd, "_cpu_count", return_value=cpus):
+                assert pointwise_depth_field(sample, kind).tobytes() == want
+                depths.add(poifd_all(sample, kind).poifd.tobytes())
+        assert len(depths) == 1
 
         points, depth = _query_reference(sample, query, kind)
         cov = sample.coverage[points]
@@ -308,14 +319,55 @@ class TestRankKernel:
         "n, T, gap",
         [
             (1, 5, None),  # a single curve
-            (6, 8, 3),  # a column no curve observes
+            # a column no curve observes; with 16-cell blocks on 4 CPUs
+            # it is a block of its own
+            (6, 8, 3),
             (33, 2000, 7),  # wider than one column block at n = 33
         ],
     )
     def test_edge_cases(self, n, T, gap):
-        _check_against_reference(*_random_tied_case(n, T, gap))
+        case = _random_tied_case(n, T, gap)
+        for block_cells in (16, poifd._BLOCK_CELLS):
+            with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+                _check_against_reference(*case)
         if T > 100:
             assert T > poifd._BLOCK_CELLS // n
+
+    def test_threads_only_for_large_samples_and_joined(self):
+        # 33 x 2000 cells: at least 2 blocks of 16 cells, under 2 blocks
+        # of the default size
+        sample, _ = _random_tied_case(33, 2000, 7)
+        with (
+            mock.patch.object(poifd, "_BLOCK_CELLS", 16),
+            mock.patch.object(poifd, "_cpu_count", return_value=1),
+        ):
+            want = pointwise_depth_field(sample, "fm").tobytes()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        try:
+            # threads switch often, so a write lost between them would show
+            sys.setswitchinterval(1e-6)
+            with (
+                mock.patch.object(poifd, "_cpu_count", return_value=4),
+                mock.patch.object(poifd, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool,
+            ):
+                poifd_all(sample, "tukey")
+                assert pool.call_count == 0
+                with mock.patch.object(poifd, "_BLOCK_CELLS", 16):
+                    assert pointwise_depth_field(sample, "fm").tobytes() == want
+                    assert threading.active_count() == before
+                    poifd_all(sample, "tukey")
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        # the calling thread ranks a share itself
+        assert [c.args for c in pool.call_args_list] == [(3,), (3,)]
+
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        assert poifd._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert poifd._cpu_count() == 3
 
     def test_query_counts_beyond_16_bits(self):
         # n = 2^16 + 1 with integer values: at points 0 and 1 the query
