@@ -12,9 +12,12 @@ milliseconds of `pointwise_depth_field` (Fraiman-Muniz) on masked
 normal samples, and of one `poifd_of` query at n = 10^4, T = 101
 (Fraiman-Muniz, which counts #<= x only, and Tukey, which also counts
 #< x), plus the sha256 of the depth fields and the Fraiman-Muniz query,
-so two versions can be checked equal. Both queries are also checked
-against a plain two-comparison numpy reference; the Tukey query stays
-out of the digest, which predates it.
+so two versions can be checked equal. It also times Fraiman-Muniz
+queries at n = 50 and n = 1000, where a query's fixed cost shows, and
+narrow partially observed queries (2 and 21 observed points) at
+n = 10^4. Every query is checked against a plain two-comparison numpy
+reference; all but the first stay out of the digest, which predates
+them.
 """
 
 import hashlib
@@ -74,15 +77,22 @@ def main():
         digest.update(out)
     sample = masked_sample(10_000, 101, seed=1)
     probe = PartialCurve.fully_observed(np.sin(np.linspace(0.0, 3.0, 101)))
-    ms, out = best_ms(lambda: poifd_of(sample, probe))
-    times["poifd_of.n10000_T101"] = ms
-    digest.update(out)
-    ms, tukey = best_ms(lambda: poifd_of(sample, probe, "tukey"))
-    times["poifd_of.tukey.n10000_T101"] = ms
-    for kind, got in (("fm", out), ("tukey", tukey)):
-        want = np.float64(query_reference(sample, probe, kind)).tobytes()
-        if got != want:
-            raise SystemExit(f"poifd_of ({kind}) differs from the two-comparison reference")
+    queries = [("poifd_of.n10000_T101", sample, probe, "fm")]
+    queries.append(("poifd_of.tukey.n10000_T101", sample, probe, "tukey"))
+    for n in (50, 1000):
+        queries.append((f"poifd_of.n{n}_T101", masked_sample(n, 101, seed=n), probe, "fm"))
+    for width in (2, 21):
+        mask = np.zeros(101, bool)
+        mask[40 : 40 + width] = True
+        narrow = PartialCurve(probe.values, mask)
+        queries.append((f"poifd_of.narrow{width}.n10000_T101", sample, narrow, "fm"))
+    for name, queried, curve, kind in queries:
+        ms, got = best_ms(lambda: poifd_of(queried, curve, kind))
+        times[name] = ms
+        if name == "poifd_of.n10000_T101":
+            digest.update(got)
+        if got != np.float64(query_reference(queried, curve, kind)).tobytes():
+            raise SystemExit(f"{name} differs from the two-comparison reference")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(json.dumps({"cpus": cpus, "ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))
 

@@ -129,6 +129,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 def centered_coverage(grid: Grid, p_obs: float) -> np.ndarray:
     """Exact probability that a centered-interval mask covers each point."""
+    if not 0.0 < p_obs <= 1.0:  # NaN fails too
+        raise ValueError("p_obs must lie in (0, 1]")
     t = grid.points
     if p_obs == 1.0:
         return np.ones_like(t)
@@ -246,10 +248,11 @@ def convergence_probe(
         [population_poifd(x, grid, trend, coverage, kind, phi) for x in probes]
     )
     out: dict[int, float] = {}
-    for n in sizes:
-        gp_seed = seed_sequence((seed, int(n), 0))
-        obs_seed = seed_sequence((seed, int(n), 1))
-        sample = observe(grid, sample_gp(model, int(n), gp_seed), observation, obs_seed)
+    # each distinct size once, in order of first appearance
+    for n in dict.fromkeys(int(n) for n in sizes):
+        gp_seed = seed_sequence((seed, n, 0))
+        obs_seed = seed_sequence((seed, n, 1))
+        sample = observe(grid, sample_gp(model, n, gp_seed), observation, obs_seed)
         emp = np.array([poifd_of(sample, x, kind, phi) for x in probes])
-        out[int(n)] = float(np.max(np.abs(emp - pop)))
+        out[n] = float(np.max(np.abs(emp - pop)))
     return out

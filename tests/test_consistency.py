@@ -17,7 +17,7 @@ from pofda.consistency import (
     population_poifd,
 )
 from pofda.depths import DepthKind
-from pofda.simulate import GpModel, ObservationSpec, observe
+from pofda.simulate import GpModel, ObservationSpec, observe, sample_gp
 
 from conftest import draw_mask_reference, numpy_streams
 
@@ -49,6 +49,12 @@ class TestCenteredCoverage:
     def test_full_proportion(self):
         grid = Grid.uniform(11)
         np.testing.assert_array_equal(centered_coverage(grid, 1.0), np.ones(11))
+
+    @pytest.mark.parametrize("p", [-0.2, 0.0, 1.5, np.nan, np.inf])
+    def test_rejects_p_obs_outside_unit_interval(self, p):
+        # as ObservationSpec does: no all-ones, zeros, NaN or 0-division
+        with pytest.raises(ValueError, match=r"p_obs must lie in \(0, 1\]"):
+            centered_coverage(Grid.uniform(11), p)
 
 
 def test_population_coverage_dispatch():
@@ -197,6 +203,24 @@ def test_convergence_probe_checks_probes_before_drawing(probes, match, monkeypat
     with pytest.raises(ValueError, match=match):
         convergence_probe(GpModel(grid=grid, theta=1.0), [20], probes, spec, seed=0)
     assert draws == []
+
+
+def test_convergence_probe_draws_each_distinct_size_once(monkeypatch):
+    grid = Grid.uniform(31)
+    model = GpModel(grid=grid, theta=1.0)
+    probes = default_probe_curves(grid)[:3]
+    spec = ObservationSpec("centered", p_obs=0.5)
+    expected = convergence_probe(model, [30, 45], probes, spec, seed=4)
+    draws = []
+
+    def counted(model, n, seed):
+        draws.append(n)
+        return sample_gp(model, n, seed)
+
+    monkeypatch.setattr(consistency, "sample_gp", counted)
+    table = convergence_probe(model, [30, 45, 30, np.int64(45), 30], probes, spec, seed=4)
+    assert draws == [30, 45]
+    assert table == expected and list(table) == [30, 45]
 
 
 def test_convergence_probe_accepts_a_generator_of_probes():

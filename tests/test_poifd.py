@@ -441,3 +441,55 @@ class TestQueryCounts:
                 np.testing.assert_array_equal(got[2], c_lt)
             else:
                 assert got[2] is None
+
+    @pytest.mark.parametrize(
+        "cells, T",
+        [
+            (24, 5),  # 5-row stretches
+            (poifd._STRETCH_CELLS, 101),  # the default stretch at the probes' grid
+            (poifd._STRETCH_CELLS, poifd._STRETCH_CELLS + 3),  # a stretch is one row
+        ],
+    )
+    def test_stretched_compare_matches_column_counts(self, cells, T):
+        # integer values, so the query ties sample values; masked slots
+        # hold NaN and the query is partially observed
+        rows = -(-cells // T)
+        sizes = sorted({n for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3) if n >= 1})
+        with mock.patch.object(poifd, "_STRETCH_CELLS", cells):
+            for n in sizes:
+                sample, query = _random_tied_case(n, T, None)
+                assert np.isnan(sample.values).any() or n == 1
+                assert not query.is_fully_observed
+                points, c_le, c_lt = poifd._query_counts(sample, query)
+                np.testing.assert_array_equal(
+                    np.column_stack([c_le, c_lt, sample.counts[points]]),
+                    [_column_counts(sample, ell, query.values[ell]) for ell in points],
+                )
+                for kind in ALL_KINDS:
+                    got = poifd._query_counts(sample, query, kind)
+                    np.testing.assert_array_equal(got[1], c_le)
+                    if kind in (DepthKind.TUKEY, DepthKind.SIMPLICIAL):
+                        np.testing.assert_array_equal(got[2], c_lt)
+                    else:
+                        assert got[2] is None
+                    _, depth = _query_reference(sample, query, kind)
+                    cov = sample.coverage[points]
+                    assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())
+
+    @pytest.mark.parametrize(
+        "phi, match",
+        [
+            ("nope", "unknown phi"),
+            (lambda q: q - 1.0, "finite and nonnegative"),
+            # zero at every point some curve observes
+            (lambda q: np.where(q > 0.0, 0.0, 1.0), "sum to zero"),
+        ],
+    )
+    def test_bad_phi_raises_before_counting(self, phi, match):
+        sample, query = _random_tied_case(300, 9, 4)
+        with mock.patch.object(poifd, "_count_columns", wraps=poifd._count_columns) as counted:
+            with pytest.raises(ValueError, match=match):
+                poifd_of(sample, query, "tukey", phi)
+            assert counted.call_count == 0
+            poifd_of(sample, query, "tukey", "sqrt")
+            assert counted.call_count == 2
