@@ -17,7 +17,9 @@ queries at n = 50 and n = 1000, where a query's fixed cost shows, and
 narrow partially observed queries (2 and 21 observed points) at
 n = 10^4. Every query is checked against a plain two-comparison numpy
 reference; all but the first stay out of the digest, which predates
-them.
+them. Last, untimed and out of the digest, it reports the tracemalloc
+peak above the start of `simulate_sample`, `poifd_all` and the two means
+on an n = 10^4, T = 200 sample, in (n, T) float64 matrices of 16 MB.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +37,18 @@ sys.path.insert(0, str(SRC))
 
 from pofda.core import FunctionalSample, Grid, PartialCurve  # noqa: E402
 from pofda.depths import depth_from_counts  # noqa: E402
-from pofda.poifd import poifd_of, pointwise_depth_field  # noqa: E402
+from pofda.poifd import poifd_all, poifd_of, pointwise_depth_field  # noqa: E402
+from pofda.simulate import (  # noqa: E402
+    ContaminationSpec,
+    GpModel,
+    ObservationSpec,
+    simulate_sample,
+)
+from pofda.trimming import ordinary_mean, select_trim, trimmed_mean  # noqa: E402
 
 FIELD_SIZES = [(80, 200), (1000, 200), (80, 2000), (10_000, 200)]
 REPEATS = 7
+PEAK_SIZE = (10_000, 200)
 
 
 def masked_sample(n, T, seed):
@@ -68,6 +79,33 @@ def query_reference(sample, probe, kind):
     return float((depth * weights).sum() / weights.sum())
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above the start, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def stage_peaks():
+    """Traced peak of each stage on one sample, in (n, T) float64 matrices."""
+    n, T = PEAK_SIZE
+    model = GpModel(Grid.uniform(T), theta=50.0)
+    args = (ContaminationSpec("sym", q=0.1, magnitude=25.0),
+            ObservationSpec("intervals", p_obs=0.5, n_intervals=3), 13)
+    simulate_sample(model, 1, *args)  # caches what a draw on this grid keeps
+    peaks = {}
+    sample, peaks["simulate_sample"] = traced_peak(simulate_sample, model, n, *args)
+    depths, peaks["poifd_all"] = traced_peak(poifd_all, sample)
+    trim = select_trim(depths.poifd, 0.2)
+    _, peaks["trimmed_mean"] = traced_peak(trimmed_mean, sample, trim)
+    _, peaks["ordinary_mean"] = traced_peak(ordinary_mean, sample)
+    return {name: round(peak / (8 * n * T), 3) for name, peak in peaks.items()}
+
+
 def main():
     times, digest = {}, hashlib.sha256()
     for n, T in FIELD_SIZES:
@@ -94,7 +132,8 @@ def main():
         if got != np.float64(query_reference(queried, curve, kind)).tobytes():
             raise SystemExit(f"{name} differs from the two-comparison reference")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    print(json.dumps({"cpus": cpus, "ms": times, "outputs_sha256": digest.hexdigest()}, indent=2))
+    print(json.dumps({"cpus": cpus, "ms": times, "outputs_sha256": digest.hexdigest(),
+                      f"peak_matrices.n{PEAK_SIZE[0]}_T{PEAK_SIZE[1]}": stage_peaks()}, indent=2))
 
 
 if __name__ == "__main__":

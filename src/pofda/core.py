@@ -130,6 +130,8 @@ class FunctionalSample:
     coverage: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # set on the instance by `_adopt` only
+        adopted = self.__dict__.pop("_adopted", False)
         values = np.asarray(self.values, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
         T = self.grid.size
@@ -147,12 +149,36 @@ class FunctionalSample:
         if not np.all(np.isfinite(values) | ~mask):
             raise ValueError("observed values must be finite")
         counts = mask.sum(axis=0)
-        # One fresh C-contiguous copy of each matrix, NaN wherever unobserved.
-        values = np.ascontiguousarray(np.where(mask, values, np.nan))
+        if adopted:
+            values = np.ascontiguousarray(values)
+            mask = np.ascontiguousarray(mask)
+            np.copyto(values, np.nan, where=~mask)
+        else:
+            # One fresh C-contiguous copy of each matrix, NaN wherever unobserved.
+            values = np.ascontiguousarray(np.where(mask, values, np.nan))
+            mask = np.array(mask, order="C")
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "mask", _readonly(np.array(mask, order="C")))
+        object.__setattr__(self, "mask", _readonly(mask))
         object.__setattr__(self, "counts", _readonly(counts))
         object.__setattr__(self, "coverage", _readonly(counts / values.shape[0]))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, mask: np.ndarray) -> "FunctionalSample":
+        """A sample that takes over the arrays it is given, with the
+        constructor's checks but no copy.
+
+        `values` should be a fresh C-contiguous float64 matrix that no
+        one else holds: NaN is written into its unobserved slots in
+        place. `mask` may be another sample's read-only mask. Both are
+        marked read-only. Arrays of another layout or dtype are copied.
+        """
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "grid", grid)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "mask", mask)
+        object.__setattr__(sample, "_adopted", True)
+        sample.__post_init__()
+        return sample
 
     @property
     def n_curves(self) -> int:

@@ -96,7 +96,7 @@ def read_curves_csv(path) -> tuple[FunctionalSample, list[str]]:
                 observed = cell.strip() != ""
                 masks[j].append(observed)
                 cols[j].append(float(cell) if observed else np.nan)
-    return FunctionalSample(Grid(np.array(ts)), np.array(cols), np.array(masks)), names
+    return FunctionalSample._adopt(Grid(np.array(ts)), np.array(cols), np.array(masks)), names
 
 
 def write_mask_csv(

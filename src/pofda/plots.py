@@ -101,7 +101,7 @@ def plot_data(config: ScenarioConfig, out_dir, svg: bool = True) -> dict[str, Pa
 
     names = curve_names(sample.n_curves)
     kept_names = [names[i] for i in trim.kept]
-    kept_sample = FunctionalSample(
+    kept_sample = FunctionalSample._adopt(
         sample.grid, sample.values[trim.kept], sample.mask[trim.kept]
     )
 

@@ -303,18 +303,29 @@ def poifd_all(
     phi : str or callable
         Coverage-weight shaping function on [0, 1].
     """
+    n, T = sample.values.shape
+    # allocated before the field, so a caller that keeps the depths holds
+    # no heap block above the field's and the next call can reuse its space
+    out = np.empty(n)
     field = _depth_field(sample, kind, 0.0)
-    weights = np.where(sample.mask, _phi_of_coverage(phi, sample.coverage), 0.0)
-    norms = weights.sum(axis=1)
-    if np.any(norms <= 0.0):
-        bad = int(np.nonzero(norms <= 0.0)[0][0])
-        raise ValueError(
-            f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
-        )
-    weights /= norms[:, None]
-    # unobserved slots hold 0 in the field and weigh 0
-    field *= weights
-    return DepthResult(field.sum(axis=1))
+    point_weights = _phi_of_coverage(phi, sample.coverage)
+    # the weights are built one block of about _BLOCK_CELLS cells at a
+    # time, so no (n, T) weight matrix is held next to the field
+    rows = max(1, _BLOCK_CELLS // T)
+    for first in range(0, n, rows):
+        block = slice(first, first + rows)
+        weights = np.where(sample.mask[block], point_weights, 0.0)
+        norms = weights.sum(axis=1)
+        if np.any(norms <= 0.0):
+            bad = first + int(np.nonzero(norms <= 0.0)[0][0])
+            raise ValueError(
+                f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
+            )
+        weights /= norms[:, None]
+        # unobserved slots hold 0 in the field and weigh 0
+        weights *= field[block]
+        weights.sum(axis=1, out=out[block])
+    return DepthResult(out)
 
 
 def poifd_of(

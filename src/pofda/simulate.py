@@ -145,7 +145,7 @@ def _gp_values(model: GpModel, n: int, seed) -> np.ndarray:
 def sample_gp(model: GpModel, n: int, seed) -> FunctionalSample:
     """Draw n fully observed curves trend + L z, one stream per curve (see `_gp_values`)."""
     values = _gp_values(model, n, seed)
-    return FunctionalSample(model.grid, values, np.ones(values.shape, dtype=bool))
+    return FunctionalSample._adopt(model.grid, values, np.ones(values.shape, dtype=bool))
 
 
 class ContaminationKind(str, Enum):
@@ -216,7 +216,7 @@ def contaminate(
         raise ValueError("contamination applies to fully observed curves")
     draws = _draws(spec, sample.n_curves, seed)
     shift = _shift(grid.points, spec.kind, spec.magnitude, *draws)
-    return FunctionalSample(grid, sample.values + shift, sample.mask)
+    return FunctionalSample._adopt(grid, sample.values + shift, sample.mask)
 
 
 class ObservationKind(str, Enum):
@@ -353,12 +353,9 @@ def observe(
     with no observed grid point is redrawn up to a bounded retry count.
     """
     _check_grid(grid, sample)
-    # Hold a block the size of the sample's value copy while drawing, so
-    # the draw's temporaries, and the small blocks numpy caches after
-    # them, cannot split the free heap space that copy then reuses.
-    slot = np.empty(sample.values.shape)
     mask = _draw_masks(grid.points, spec, seed, sample.mask)
-    del slot
+    # The values belong to the input sample, so they are copied; the
+    # constructor's one masked copy writes the NaN as it goes.
     return FunctionalSample(grid, sample.values, mask)
 
 
@@ -385,4 +382,4 @@ def simulate_sample(
         draws = _draws(contamination, n, cont_seed)
         values += _shift(pts, contamination.kind, contamination.magnitude, *draws)
     mask = _draw_masks(pts, observation, obs_seed, np.broadcast_to(True, values.shape))
-    return FunctionalSample(model.grid, values, mask)
+    return FunctionalSample._adopt(model.grid, values, mask)

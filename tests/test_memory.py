@@ -1,0 +1,77 @@
+"""Peak memory of each pipeline stage, in (n, T) float64 matrices.
+
+tracemalloc counts numpy's data allocations exactly, so a stage's traced
+peak above its start says how many full-size temporaries it holds. The
+sample is large enough that the depth field's block temporaries, about
+_BLOCK_CELLS cells per thread, are small next to one matrix.
+"""
+
+import tracemalloc
+
+import pytest
+
+from pofda.core import Grid
+from pofda.poifd import poifd_all
+from pofda.simulate import (
+    ContaminationSpec,
+    GpModel,
+    ObservationSpec,
+    contaminate,
+    observe,
+    sample_gp,
+    simulate_sample,
+)
+from pofda.trimming import ordinary_mean, select_trim, trimmed_mean
+
+N, T = 4000, 100
+MATRIX_BYTES = 8 * N * T
+
+# Upper bounds on each stage's traced peak, in (n, T) float64 matrices.
+# A stage's own output counts: a sample is one value matrix plus a bool
+# mask (1/8 of a matrix); the depth field is one matrix.
+BOUNDS = {
+    "sample_gp": 1.6,
+    "contaminate": 1.6,
+    "observe": 1.6,
+    "simulate_sample": 2.15,
+    "poifd_all": 1.85,
+    "trimmed_mean": 0.5,
+    "ordinary_mean": 0.25,
+}
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and its traced peak above the start, in matrices."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak / MATRIX_BYTES
+
+
+@pytest.fixture(scope="module")
+def peaks():
+    grid = Grid.uniform(T)
+    model = GpModel(grid=grid, theta=50.0)
+    model.covariance_factor()  # cached: the first draw would count it
+    shifts = ContaminationSpec("sym", q=0.1, magnitude=25.0)
+    masks = ObservationSpec("intervals", p_obs=0.5, n_intervals=3)
+    out = {}
+    curves, out["sample_gp"] = traced_peak(sample_gp, model, N, 1)
+    curves, out["contaminate"] = traced_peak(contaminate, grid, curves, shifts, 2)
+    _, out["observe"] = traced_peak(observe, grid, curves, masks, 3)
+    del curves
+    sample, out["simulate_sample"] = traced_peak(simulate_sample, model, N, shifts, masks, 4)
+    depths, out["poifd_all"] = traced_peak(poifd_all, sample)
+    trim = select_trim(depths.poifd, 0.2)
+    _, out["trimmed_mean"] = traced_peak(trimmed_mean, sample, trim)
+    _, out["ordinary_mean"] = traced_peak(ordinary_mean, sample)
+    return out
+
+
+@pytest.mark.parametrize("stage", list(BOUNDS))
+def test_stage_holds_no_extra_matrix(peaks, stage):
+    assert peaks[stage] <= BOUNDS[stage], f"{stage}: {peaks[stage]:.3f} matrices"

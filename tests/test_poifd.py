@@ -172,6 +172,18 @@ class TestPoifd:
         with pytest.raises(ValueError):
             poifd_all(s, phi=lambda q: np.zeros_like(q))
 
+    def test_degenerate_phi_names_curve_in_later_row_block(self):
+        # 4 rows per weight block; curve 9, in the third block, observes
+        # only point 0, where the weight is 0
+        n, T = 12, 5
+        mask = np.ones((n, T), bool)
+        mask[:, 0] = False
+        mask[9] = np.arange(T) == 0
+        s = FunctionalSample(Grid.uniform(T), np.arange(n * T, dtype=float).reshape(n, T), mask)
+        with mock.patch.object(poifd, "_BLOCK_CELLS", 4 * T):
+            with pytest.raises(ValueError, match="weights of curve 9 sum to zero"):
+                poifd_all(s, phi=lambda q: np.where(q < 0.5, 0.0, q))
+
     def test_negative_phi_rejected(self):
         s = constant_sample([1.0, 2.0])
         with pytest.raises(ValueError):

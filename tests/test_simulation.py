@@ -460,3 +460,29 @@ def test_curves_are_read_only_row_views(model):
         with pytest.raises(ValueError):
             curve.mask[0] = False
     assert s.curves is s.curves
+
+
+@pytest.mark.parametrize("kind", ["sym", "asym", "partial"])
+def test_stages_adopt_only_their_own_arrays(model, kind):
+    """Each stage takes over the value matrix it builds, never its input's."""
+    grid = model.grid
+    stages = [
+        lambda _: sample_gp(model, 30, seed=3),
+        lambda s: contaminate(grid, s, ContaminationSpec(kind, q=0.5, magnitude=4.0), seed=4),
+        lambda s: observe(grid, s, ObservationSpec("intervals", p_obs=0.5, n_intervals=2), seed=5),
+    ]
+    inputs = []
+    sample = None
+    for stage in stages:
+        before = [(s, s.values.tobytes(), s.mask.tobytes()) for s in inputs]
+        out = stage(sample)
+        for s, values, mask in before:
+            assert s.values.tobytes() == values and s.mask.tobytes() == mask
+        for arr in (out.values, out.mask, out.counts, out.coverage):
+            assert not arr.flags.writeable
+        for s in inputs:
+            assert not np.shares_memory(out.values, s.values)
+        assert np.isnan(out.values[~out.mask]).all()
+        inputs.append(out)
+        sample = out
+    assert not inputs[-1].mask.all()  # observe wrote NaN into its own copy only

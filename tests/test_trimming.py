@@ -125,22 +125,50 @@ class TestTrimmedMean:
         np.testing.assert_allclose(est.values[:2], 0.5)
 
     def test_all_curve_mean_only_at_coverage_gaps(self, monkeypatch):
-        rows = []
+        read = []
         real = trimming._pointwise_mean
 
-        def counted(values, mask):
-            rows.append(values.shape[0])
-            return real(values, mask)
+        def recorded(values, where, counts):
+            # the curves whose values this mean reads
+            read.append(np.flatnonzero(where.any(axis=1)).tolist())
+            return real(values, where, counts)
 
-        monkeypatch.setattr(trimming, "_pointwise_mean", counted)
+        monkeypatch.setattr(trimming, "_pointwise_mean", recorded)
         trim = select_trim([0.9, 0.8, 0.1], alpha=1 / 3)
         trimmed_mean(constant_sample([0.0, 1.0, 9.0], grid_size=3), trim)
-        assert rows == [2]  # kept rows only: no coverage gap
-        rows.clear()
+        assert read == [[0, 1]]  # kept rows only: no coverage gap
+        read.clear()
         mask = np.array([[True, True, False], [True, True, False], [True, True, True]])
         gap = FunctionalSample(Grid.uniform(3), np.zeros((3, 3)), mask)
         assert trimmed_mean(gap, trim).fallback_mask[2]
-        assert rows == [2, 3]
+        assert read == [[0, 1], [0, 1, 2]]
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "integer_ties"])
+    def test_means_match_explicit_formula_bytes(self, rng, ties):
+        # where(mask, values, 0).sum(0) / counts, written out; column 3 is
+        # all -0.0, whose sum is +0.0 in both forms
+        n, T = 300, 12
+        values = rng.integers(-3, 4, size=(n, T)) if ties else rng.normal(scale=5.0, size=(n, T))
+        values = values.astype(float)
+        values[:, 3] = -0.0
+        mask = rng.random((n, T)) < 0.6
+        mask[:, 0] = True
+        mask[: n // 2, -2:] = False  # observed by dropped curves only
+        sample = FunctionalSample(Grid.uniform(T), values, mask)
+        trim = select_trim(np.r_[np.ones(n // 2), np.zeros(n - n // 2)], alpha=0.5)
+
+        def explicit(rows):
+            m = mask[rows]
+            return np.where(m, values[rows], 0.0).sum(axis=0) / m.sum(axis=0)
+
+        plain = explicit(slice(None))
+        assert ordinary_mean(sample).values.tobytes() == plain.tobytes()
+        est = trimmed_mean(sample, trim)
+        with np.errstate(invalid="ignore"):
+            expected = np.where(est.fallback_mask, plain, explicit(trim.kept))
+        np.testing.assert_array_equal(est.fallback_mask, np.arange(T) >= T - 2)
+        assert est.values.tobytes() == expected.tobytes()
+        assert not np.signbit(plain[3]) and not np.signbit(est.values[3])
 
     def test_fallback_sums_like_ordinary_mean(self, rng):
         # Only the 50 dropped curves observe the last 10 columns; the
