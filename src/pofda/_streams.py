@@ -32,9 +32,12 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def seed_sequence(seed) -> SeedSequence:
-    """Normalize int / tuple / SeedSequence seeds to a SeedSequence."""
+    """Normalize int / tuple / SeedSequence seeds to a SeedSequence; None
+    (fresh OS entropy to numpy) and bools are rejected, so every draw repeats."""
     if isinstance(seed, SeedSequence):
         return seed
+    if seed is None or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, a sequence of ints or a SeedSequence, got {seed!r}")
     return SeedSequence(seed)
 
 

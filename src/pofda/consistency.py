@@ -21,7 +21,7 @@ import numpy as np
 from ._streams import seed_sequence
 from .core import Grid, PartialCurve
 from .depths import DepthKind, depth_from_counts
-from .poifd import PhiLike, _phi_of_coverage, _weighted_mean, poifd_of
+from .poifd import PhiLike, _phi_of_coverage, _weight_norm, poifd_of
 from .simulate import (
     GpModel,
     ObservationKind,
@@ -195,7 +195,8 @@ def population_poifd(
     F = _ndtr(curve.values[obs] - trend[obs])
     # The marginal is atomless, so F(x-) = F(x): the count formulas with k = 1.
     depths = depth_from_counts(kind, F, F, 1.0)
-    return _weighted_mean(depths, _phi_of_coverage(phi, coverage)[obs])
+    weights = _phi_of_coverage(phi, coverage)[obs]
+    return float((depths * weights).sum() / _weight_norm(weights))
 
 
 def default_probe_curves(grid: Grid) -> list[PartialCurve]:
@@ -229,15 +230,16 @@ def convergence_probe(
 
     For each n a fresh sample is drawn from the model and masked by the
     observation mechanism; seeds are keyed to (seed, n) so the returned
-    table does not depend on the order of `sizes`. The sizes and the
-    probes (at least one, each one value per grid point) are checked
-    before any sample is drawn.
+    table does not depend on the order of `sizes`. The seed (an int), the
+    sizes and the probes (at least one, each one value per grid point)
+    are checked before any sample is drawn.
     """
     sizes = list(sizes)
     for n in sizes:
         _check_integer("sizes", n)
         if n < 1:
             raise ValueError(f"sizes must be at least 1, got {n!r}")
+    _check_integer("seed", seed)
     probes = list(probes)
     if not probes:
         raise ValueError("probes is empty: the sup discrepancy needs at least one probe curve")

@@ -63,9 +63,6 @@ class Grid:
     def size(self) -> int:
         return int(self.points.size)
 
-    def __len__(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True)
 class PartialCurve:

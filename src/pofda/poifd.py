@@ -245,24 +245,6 @@ def _usable_points(sample: FunctionalSample, curve: PartialCurve) -> np.ndarray:
     return points
 
 
-def _query_counts(
-    sample: FunctionalSample, curve: PartialCurve, kind: DepthKind | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Usable grid points of a curve and the counts (#<= x(t), #< x(t)).
-
-    #< x(t) is counted only when `kind` is None or a kind whose depth
-    formula reads it (Tukey, simplicial); for any other kind
-    (Fraiman-Muniz) it is None, so the query takes one comparison
-    instead of two. The comparisons run over the sample's full value
-    matrix without copying it (`_compare_counts`): unobserved slots hold
-    NaN, which compares False, so only observed values are counted, and
-    the usable points are kept at the end.
-    """
-    points = _usable_points(sample, curve)
-    count_lt = kind is None or DepthKind(kind) in _READS_LT
-    return points, *_compare_counts(sample.values, curve.values, points, count_lt)
-
-
 def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarray:
     """Per-curve per-point sample depths, NaN where a curve is unobserved.
 
@@ -364,11 +346,6 @@ def _weight_norm(weights: np.ndarray) -> float:
     return norm
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """sum(values * weights) / sum(weights) over one curve's usable points."""
-    return float((values * weights).sum() / _weight_norm(weights))
-
-
 def ifd(
     sample: FunctionalSample,
     curve: PartialCurve,
@@ -384,7 +361,8 @@ def ifd(
     if not curve.is_fully_observed:
         raise ValueError("ifd requires a fully observed curve")
     # every point is usable: both sample and curve are fully observed
-    _, c_le, c_lt = _query_counts(sample, curve, kind)
+    points = _usable_points(sample, curve)
+    c_le, c_lt = _compare_counts(sample.values, curve.values, points, kind in _READS_LT)
     depth_vals = depth_from_counts(kind, c_le, c_lt, sample.counts)
     return float((depth_vals * (1.0 / sample.grid.size)).sum())
 

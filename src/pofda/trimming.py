@@ -45,7 +45,6 @@ class TrimSpec:
     """Resolved trimming decision: kept indices and realized threshold."""
 
     alpha: float
-    keep_count: int
     beta: float
     kept: np.ndarray
 
@@ -55,9 +54,11 @@ class TrimSpec:
             raise ValueError("trim keeps no curves")
         if kept.ndim != 1 or kept.dtype.kind not in "iu" or (kept[1:] <= kept[:-1]).any():
             raise ValueError(f"kept must be strictly increasing curve indices, got {kept!r}")
-        if kept.size != self.keep_count:
-            raise ValueError(f"kept holds {kept.size} curves but keep_count is {self.keep_count}")
         object.__setattr__(self, "kept", _frozen(kept.astype(int)))
+
+    @property
+    def keep_count(self) -> int:
+        return int(self.kept.size)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def select_trim(depths, alpha: float) -> TrimSpec:
     order = np.argsort(-depths, kind="stable")
     kept = np.sort(order[:m])
     beta = float(depths[order[m - 1]])
-    return TrimSpec(alpha=float(alpha), keep_count=m, beta=beta, kept=kept)
+    return TrimSpec(alpha=float(alpha), beta=beta, kept=kept)
 
 
 def _pointwise_mean(values: np.ndarray, where: np.ndarray, counts: np.ndarray):

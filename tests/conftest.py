@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
+from pofda import poifd
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.depths import depth_from_counts
 from pofda.harness import reproduce_tables
@@ -100,6 +101,12 @@ def sorted_counts(values, x):
         np.searchsorted(sorted_vals, x, side="left"),
         sorted_vals.size,
     )
+
+
+def query_counts(sample, curve):
+    """A query's usable points and counts (#<= x(t), #< x(t)), as poifd_of takes them."""
+    points = poifd._usable_points(sample, curve)
+    return (points, *poifd._compare_counts(sample.values, curve.values, points, True))
 
 
 def depth_oracle(kind, values, x):

@@ -15,8 +15,16 @@ from pofda.consistency import convergence_probe, default_probe_curves
 from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
 from pofda.depths import DepthKind
 from pofda.harness import read_results_csv, reproduce_tables
+from pofda.metrics import integrated_error
 from pofda.poifd import ifd, poifd_all, poifd_of
-from pofda.simulate import GpModel, ObservationSpec, observe, sample_gp
+from pofda.simulate import (
+    ContaminationSpec,
+    GpModel,
+    ObservationSpec,
+    observe,
+    sample_gp,
+    simulate_sample,
+)
 from pofda.trimming import ordinary_mean, select_trim, trimmed_mean
 
 TABLE_SEEDS = (7, 42, 88)
@@ -314,3 +322,41 @@ def test_criterion_8_determinism(tmp_path, seed13_serial_tables):
     report(8, "determinism", identical and pinned, f"sha256 {digest[:12]}")
     assert identical
     assert pinned, digest
+
+
+def test_criterion_9_estimator_limit():
+    """The trimmed mean converges: on clean samples n * mean(ei) stays
+    within [0.5, 2] from n=50 to n=1000 under centered masks and under
+    random intervals; under one-sided contamination at n=1000 it is
+    closer to the trend than the ordinary mean."""
+    model = GpModel(grid=Grid.uniform(101), theta=10.0)
+    trend = model.trend_values()
+    clean = ContaminationSpec("none")
+    asym = ContaminationSpec("asym", q=0.1, magnitude=25.0)
+
+    def mean_errors(n, contamination, observation):
+        trimmed, ordinary = [], []
+        for seed in range(10):
+            sample = simulate_sample(model, n, contamination, observation, (seed, n))
+            trim = select_trim(poifd_all(sample, DepthKind.FRAIMAN_MUNIZ, "identity").poifd, 0.2)
+            trimmed.append(integrated_error(trimmed_mean(sample, trim), trend).ei)
+            ordinary.append(integrated_error(ordinary_mean(sample), trend).ei)
+        return float(np.mean(trimmed)), float(np.mean(ordinary))
+
+    failures, details = [], []
+    masks = {
+        "centered": ObservationSpec("centered", p_obs=0.5),
+        "intervals": ObservationSpec("intervals", p_obs=0.5, n_intervals=2),
+    }
+    for name, observation in masks.items():
+        small, large = (mean_errors(n, clean, observation)[0] for n in (50, 1000))
+        ratio = 1000 * large / (50 * small)
+        trim_ei, ordinary_ei = mean_errors(1000, asym, observation)
+        details.append(f"{name}: n*MSE ratio {ratio:.2f}, asym {trim_ei:.3f} vs {ordinary_ei:.2f}")
+        if not 0.5 <= ratio <= 2.0:
+            failures.append((name, "clean n*MSE ratio", ratio))
+        if not trim_ei < ordinary_ei:
+            failures.append((name, "asym trimmed >= ordinary", trim_ei, ordinary_ei))
+    ok = not failures
+    report(9, "estimator-limit", ok, "; ".join(details))
+    assert ok, failures

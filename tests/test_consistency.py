@@ -187,6 +187,24 @@ def test_convergence_probe_checks_sizes_before_drawing(sizes, monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("seed", [True, None, 1.5, "a"])
+def test_convergence_probe_checks_seed_before_drawing(seed, monkeypatch):
+    grid = Grid.uniform(21)
+    draws = []
+    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        convergence_probe(GpModel(grid=grid, theta=1.0), [20], default_probe_curves(grid), spec, seed)
+    assert draws == []
+
+
+def test_interval_coverage_requires_a_seed():
+    # a None seed would give a different Monte Carlo coverage on every call
+    spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
+    with pytest.raises(ValueError, match="seed must be"):
+        population_coverage(spec, Grid.uniform(11), mc_draws=50, seed=None)
+
+
 @pytest.mark.parametrize(
     "probes, match",
     [

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pofda import poifd
 from pofda.core import (
     FunctionalSample,
     Grid,
@@ -11,7 +10,7 @@ from pofda.core import (
     build_sample,
 )
 
-from conftest import random_masked_sample
+from conftest import query_counts, random_masked_sample
 
 
 class TestGrid:
@@ -149,7 +148,7 @@ def _ecdf(values, x):
     s = FunctionalSample(
         Grid.uniform(2), np.column_stack([column, column]), np.ones((column.size, 2), bool)
     )
-    _, c_le, c_lt = poifd._query_counts(s, _point_query(x))
+    _, c_le, c_lt = query_counts(s, _point_query(x))
     return c_le[0] / s.counts[0], c_lt[0] / s.counts[0]
 
 
@@ -175,7 +174,7 @@ class TestEcdf:
         s = build_sample(grid, curves)
         np.testing.assert_array_equal(s.counts, [1, 2])
         # the unobserved 0.0 at point 0 would count as <= 0.0
-        _, c_le, c_lt = poifd._query_counts(s, _point_query(0.0))
+        _, c_le, c_lt = query_counts(s, _point_query(0.0))
         assert (c_le[0], c_lt[0]) == (0, 0)
 
     def test_ecdf_at_coverage_gap(self):
@@ -184,9 +183,9 @@ class TestEcdf:
         s = build_sample(grid, curves)
         gap_only = PartialCurve(np.array([0.0, 1.0, 0.0]), np.array([False, True, False]))
         with pytest.raises(ValueError):
-            poifd._query_counts(s, gap_only)
+            query_counts(s, gap_only)
         with pytest.raises(ValueError):
-            poifd._query_counts(s, _point_query(1.0, T=7))
+            query_counts(s, _point_query(1.0, T=7))
 
     @given(
         values=st.lists(

@@ -20,7 +20,13 @@ from pofda.poifd import (
     resolve_phi,
 )
 
-from conftest import constant_sample, depth_oracle, random_masked_sample, sorted_counts
+from conftest import (
+    constant_sample,
+    depth_oracle,
+    query_counts,
+    random_masked_sample,
+    sorted_counts,
+)
 
 ALL_KINDS = list(DepthKind)
 
@@ -393,7 +399,7 @@ class TestRankKernel:
         sample = FunctionalSample(Grid.uniform(T), rng.integers(0, 4, size=(n, T)), mask)
         query = PartialCurve(np.array([3.0, 3.0, 1.0, 2.0]), np.array([1, 1, 1, 0], bool))
 
-        points, c_le, c_lt = poifd._query_counts(sample, query)
+        points, c_le, c_lt = query_counts(sample, query)
         np.testing.assert_array_equal(points, [0, 1, 2])
         np.testing.assert_array_equal(
             np.column_stack([c_le, c_lt, sample.counts[points]]),
@@ -439,20 +445,23 @@ class TestQueryCounts:
 
     def test_lt_counted_only_for_kinds_that_read_it(self):
         sample, query = _random_tied_case(300, 9, 4)
-        points, c_le, c_lt = poifd._query_counts(sample, query)
-        assert c_lt is not None
+        points, c_le, c_lt = query_counts(sample, query)
         np.testing.assert_array_equal(
             np.column_stack([c_le, c_lt, sample.counts[points]]),
             [_column_counts(sample, ell, query.values[ell]) for ell in points],
         )
+        full = FunctionalSample(
+            sample.grid, np.nan_to_num(sample.values), np.ones(sample.mask.shape, bool)
+        )
+        full_query = PartialCurve.fully_observed(np.nan_to_num(query.values))
+        # poifd_of and ifd count #< x(t) only for the kinds whose formula
+        # reads it; Fraiman-Muniz takes one comparison
         for kind in ALL_KINDS:
-            got = poifd._query_counts(sample, query, kind)
-            np.testing.assert_array_equal(got[0], points)
-            np.testing.assert_array_equal(got[1], c_le)
-            if kind in (DepthKind.TUKEY, DepthKind.SIMPLICIAL):
-                np.testing.assert_array_equal(got[2], c_lt)
-            else:
-                assert got[2] is None
+            with mock.patch.object(poifd, "_compare_counts", wraps=poifd._compare_counts) as spy:
+                poifd_of(sample, query, kind)
+                ifd(full, full_query, kind)
+            reads_lt = {"fm": False, "tukey": True, "simplicial": True}[kind.value]
+            assert [call.args[3] for call in spy.call_args_list] == [reads_lt, reads_lt]
 
     @pytest.mark.parametrize(
         "cells, T",
@@ -472,18 +481,16 @@ class TestQueryCounts:
                 sample, query = _random_tied_case(n, T, None)
                 assert np.isnan(sample.values).any() or n == 1
                 assert not query.is_fully_observed
-                points, c_le, c_lt = poifd._query_counts(sample, query)
+                points, c_le, c_lt = query_counts(sample, query)
                 np.testing.assert_array_equal(
                     np.column_stack([c_le, c_lt, sample.counts[points]]),
                     [_column_counts(sample, ell, query.values[ell]) for ell in points],
                 )
+                # the one-comparison form gives the same #<= x(t) and no #< x(t)
+                le_only = poifd._compare_counts(sample.values, query.values, points, False)
+                np.testing.assert_array_equal(le_only[0], c_le)
+                assert le_only[1] is None
                 for kind in ALL_KINDS:
-                    got = poifd._query_counts(sample, query, kind)
-                    np.testing.assert_array_equal(got[1], c_le)
-                    if kind in (DepthKind.TUKEY, DepthKind.SIMPLICIAL):
-                        np.testing.assert_array_equal(got[2], c_lt)
-                    else:
-                        assert got[2] is None
                     _, depth = _query_reference(sample, query, kind)
                     cov = sample.coverage[points]
                     assert poifd_of(sample, query, kind) == float((depth * cov).sum() / cov.sum())

@@ -136,6 +136,53 @@ def test_only_streams_module_touches_numpy_random():
     assert spawners == set()
 
 
+def _private_definitions(tree):
+    """(name, first line, last line) of each `_`-prefixed module-level
+    function, class, method and constant; dunders run implicitly."""
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *(m for m in members if isinstance(m, ast.FunctionDef))]:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                names = [d.name]
+            elif isinstance(d, (ast.Assign, ast.AnnAssign)):
+                targets = d.targets if isinstance(d, ast.Assign) else [d.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                (name, d.lineno, d.end_lineno)
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+    return found
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper, method or constant that nothing in the package
+    # reads outside its own definition is dead code: delete it with its
+    # last caller, whatever tests or the benchmark still import it
+    defined, reads = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, *d) for d in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, path.name, node.lineno))
+    assert len(defined) > 50
+    unread = [
+        f"{file}:{first} {name}"
+        for file, name, first, last in defined
+        if not any(
+            read == name and not (at == file and first <= line <= last)
+            for read, at, line in reads
+        )
+    ]
+    assert unread == []
+
+
 def test_import_loads_no_scipy():
     # scipy is only the tests' oracle for the normal CDF; importing the
     # package and its CLI in a fresh interpreter must not load it.

@@ -329,6 +329,20 @@ class TestSimulateSampleSeeds:
         np.testing.assert_array_equal(s.values, sample_gp(model, 2, gp_seed).values)
 
 
+@pytest.mark.parametrize("seed", [None, True, False])
+def test_every_stage_requires_a_repeatable_seed(model, grid, seed):
+    # None would draw fresh OS entropy on every call, and a bool is no seed
+    full = sample_gp(model, 3, seed=1)
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_gp(model, 3, seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        contaminate(grid, full, ContaminationSpec("sym", q=0.5, magnitude=1.0), seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        observe(grid, full, ObservationSpec("full"), seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        simulate_sample(model, 3, ContaminationSpec("none"), ObservationSpec("full"), seed)
+
+
 def test_pipeline_determinism_end_to_end(grid):
     model = GpModel(grid=grid, theta=4.0)
 

@@ -79,13 +79,19 @@ class TestSelectTrim:
 
 class TestTrimSpec:
     @pytest.mark.parametrize(
-        "keep_count, kept",
-        [(3, [0, 0, 1]), (2, [1, 0]), (2, [0.7, 1.2]), (2, [[0], [1]]), (5, [0]), (0, [])],
-        ids=["repeated", "decreasing", "float", "two_d", "count_mismatch", "empty"],
+        "kept",
+        [[0, 0, 1], [1, 0], [0.7, 1.2], [[0], [1]], []],
+        ids=["repeated", "decreasing", "float", "two_d", "empty"],
     )
-    def test_rejects_malformed_kept(self, keep_count, kept):
+    def test_rejects_malformed_kept(self, kept):
         with pytest.raises(ValueError):
-            TrimSpec(0.2, keep_count, 0.5, kept)
+            TrimSpec(0.2, 0.5, kept)
+
+    def test_keep_count_is_the_kept_size(self):
+        trim = TrimSpec(0.2, 0.5, [1, 3, 4])
+        assert trim.keep_count == 3
+        with pytest.raises(AttributeError):
+            trim.keep_count = 2
 
 
 class TestTrimmedMean:
