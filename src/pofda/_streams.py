@@ -10,7 +10,7 @@ the same object twice yields the same streams, as an int seed does.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -32,13 +32,25 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def seed_sequence(seed) -> SeedSequence:
-    """Normalize int / tuple / SeedSequence seeds to a SeedSequence; None
-    (fresh OS entropy to numpy) and bools are rejected, so every draw repeats."""
-    if isinstance(seed, SeedSequence):
-        return seed
-    if seed is None or isinstance(seed, bool):
+    """Normalize int / tuple / SeedSequence seeds to a SeedSequence.
+
+    None (fresh OS entropy to numpy), bools and text are rejected at any
+    depth of a sequence seed or of a SeedSequence's entropy, so every
+    draw repeats.
+    """
+    given = isinstance(seed, SeedSequence)
+    if not _is_entropy(seed.entropy if given else seed):
         raise ValueError(f"seed must be an int, a sequence of ints or a SeedSequence, got {seed!r}")
-    return SeedSequence(seed)
+    return seed if given else SeedSequence(seed)
+
+
+def _is_entropy(x) -> bool:
+    """An int other than a bool, or a sequence (nested or not) of such ints."""
+    if isinstance(x, (int, np.integer)):
+        return not isinstance(x, bool)
+    if isinstance(x, (str, bytes)) or not isinstance(x, Iterable):
+        return False
+    return all(_is_entropy(v) for v in x)
 
 
 def _words(x) -> list[int]:

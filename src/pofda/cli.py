@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .depths import DepthKind
 from .harness import (
@@ -25,7 +24,6 @@ from .io import (
     write_curves_csv,
     write_depth_csv,
     write_estimate_csv,
-    write_mask_csv,
 )
 from .plots import plot_data
 from .poifd import NAMED_PHI, poifd_all
@@ -86,10 +84,7 @@ def _cmd_simulate(args) -> int:
         config.seed,
     )
     write_curves_csv(args.out, sample)
-    mask_out = args.mask_out or str(Path(args.out).with_suffix("")) + "_mask.csv"
-    write_mask_csv(mask_out, sample)
     print(f"wrote {sample.n_curves} curves on {sample.grid.size} points to {args.out}")
-    print(f"wrote masks to {mask_out}")
     return 0
 
 
@@ -156,10 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate curves and write curve + mask CSVs")
+    p = sub.add_parser("simulate", help="generate curves and write a curve CSV")
     _add_flags(p, *_SIMULATION_FLAGS)
     p.add_argument("--out", default="curves.csv")
-    p.add_argument("--mask-out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("depth", help="compute integrated depths from a curve CSV")

@@ -18,18 +18,17 @@ import math
 
 import numpy as np
 
-from ._streams import seed_sequence
-from .core import Grid, PartialCurve
+from .core import Grid, PartialCurve, _check_integer
 from .depths import DepthKind, depth_from_counts
 from .poifd import PhiLike, _phi_of_coverage, _weight_norm, poifd_of
 from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
-    _check_integer,
     _draw_masks,
     observe,
     sample_gp,
+    seed_sequence,
 )
 
 __all__ = [
@@ -162,6 +161,7 @@ def population_coverage(
     _check_integer("mc_draws", mc_draws)
     if mc_draws < 1:
         raise ValueError("mc_draws must be at least 1")
+    seed = seed_sequence(seed)
     if spec.kind is ObservationKind.FULL:
         return np.ones(grid.size)
     if spec.kind is ObservationKind.CENTERED_INTERVAL:
@@ -252,9 +252,7 @@ def convergence_probe(
     out: dict[int, float] = {}
     # each distinct size once, in order of first appearance
     for n in dict.fromkeys(int(n) for n in sizes):
-        gp_seed = seed_sequence((seed, n, 0))
-        obs_seed = seed_sequence((seed, n, 1))
-        sample = observe(grid, sample_gp(model, n, gp_seed), observation, obs_seed)
+        sample = observe(grid, sample_gp(model, n, (seed, n, 0)), observation, (seed, n, 1))
         emp = np.array([poifd_of(sample, x, kind, phi) for x in probes])
         out[n] = float(np.max(np.abs(emp - pop)))
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,18 @@ __all__ = [
     "FunctionalSample",
     "build_sample",
 ]
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer, bools included."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Reject a parameter that is not a real number, bools included."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

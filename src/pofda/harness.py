@@ -17,12 +17,11 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import islice
-from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
 from ._streams import seed_sequence
-from .core import Grid
+from .core import Grid, _check_integer
 from .depths import DepthKind
 from .metrics import aggregate, integrated_error
 from .poifd import poifd_all, resolve_phi
@@ -32,7 +31,6 @@ from .simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
-    _check_integer,
     simulate_sample,
 )
 from .trimming import ordinary_mean, resolved_keep_count, select_trim, trimmed_mean
@@ -45,7 +43,6 @@ __all__ = [
     "table_configs",
     "reproduce_tables",
     "write_results_csv",
-    "read_results_csv",
     "RESULT_COLUMNS",
 ]
 
@@ -98,11 +95,6 @@ class ScenarioConfig:
         object.__setattr__(self, "depth", DepthKind(self.depth))
         for name in ("grid_len", "n_curves", "n_reps", "seed"):
             _check_integer(name, getattr(self, name))
-        for name in ("q", "magnitude", "alpha", "p_obs", "theta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                if not (name == "theta" and value is None):
-                    raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.grid_len < 2:
             raise ValueError("grid_len must be at least 2")
         if self.n_curves < 1:
@@ -129,7 +121,7 @@ class ScenarioConfig:
     @property
     def resolved_theta(self) -> float:
         # Covariance decay rate defaults to the curve count.
-        return float(self.n_curves if self.theta is None else self.theta)
+        return self.n_curves if self.theta is None else self.theta
 
     def model(self) -> GpModel:
         return GpModel(grid=Grid.uniform(self.grid_len), theta=self.resolved_theta)
@@ -141,11 +133,6 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         return cls(**data)
-
-
-# Cell parsers by declared ScenarioResult field type; float cells are
-# written with repr, so they parse back to the same value.
-_PARSE_CELL = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -175,12 +162,6 @@ class ScenarioResult:
             value = getattr(self, f.name)
             cells.append(repr(float(value)) if f.type == "float" else str(value))
         return cells
-
-    @classmethod
-    def from_row(cls, row: Sequence[str]) -> "ScenarioResult":
-        if len(row) != len(RESULT_COLUMNS):
-            raise ValueError(f"expected {len(RESULT_COLUMNS)} columns, got {len(row)}")
-        return cls(*(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(cls), row)))
 
 
 def run_replication(config: ScenarioConfig, scenario_index: int, rep_index: int):
@@ -271,15 +252,6 @@ def write_results_csv(path, results: Sequence[ScenarioResult]) -> None:
         writer.writerow(RESULT_COLUMNS)
         for res in results:
             writer.writerow(res.to_row())
-
-
-def read_results_csv(path) -> list[ScenarioResult]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != RESULT_COLUMNS:
-            raise ValueError(f"{path}: unexpected result columns {header}")
-        return [ScenarioResult.from_row(row) for row in reader if row]
 
 
 def reproduce_tables(

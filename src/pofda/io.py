@@ -1,4 +1,4 @@
-"""CSV formats for curves, masks, depths, and location estimates.
+"""CSV formats for curves, coverage, depths, and location estimates.
 
 Curve files carry the grid in a `t` column and one column per curve;
 unobserved entries are empty cells. Floats are written with shortest
@@ -20,7 +20,6 @@ __all__ = [
     "curve_names",
     "write_curves_csv",
     "read_curves_csv",
-    "write_mask_csv",
     "write_coverage_csv",
     "write_depth_csv",
     "write_estimate_csv",
@@ -97,14 +96,6 @@ def read_curves_csv(path) -> tuple[FunctionalSample, list[str]]:
                 masks[j].append(observed)
                 cols[j].append(float(cell) if observed else np.nan)
     return FunctionalSample._adopt(Grid(np.array(ts)), np.array(cols), np.array(masks)), names
-
-
-def write_mask_csv(
-    path, sample: FunctionalSample, names: Sequence[str] | None = None
-) -> None:
-    """Write the observation masks as 0/1 cells, same shape as the curve CSV."""
-    names = _column_names(sample, names)
-    _write_by_point(path, ["t", *names], sample.grid, [_flags(m) for m in sample.mask])
 
 
 def write_coverage_csv(path, sample: FunctionalSample) -> None:

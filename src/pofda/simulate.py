@@ -23,13 +23,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from ._streams import _children, _curve_rngs, _curve_states, _Streams
-from ._streams import seed_sequence  # noqa: F401  (imported from here by perfbench)
-from .core import FunctionalSample, Grid, _readonly
+from ._streams import _children, _curve_rngs, _curve_states, _Streams, seed_sequence
+from .core import FunctionalSample, Grid, _check_integer, _check_real, _readonly
 
 __all__ = [
     "GpModel",
@@ -50,13 +48,6 @@ _MAX_MASK_RETRIES = 1000
 _BLOCK_BYTES = 1 << 21
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count that is not an integer, bools included."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-
 @dataclass(frozen=True)
 class GpModel:
     """Gaussian process curve model: linear trend 4t plus exponential-decay noise.
@@ -69,6 +60,7 @@ class GpModel:
     theta: float
 
     def __post_init__(self) -> None:
+        _check_real("theta", self.theta)
         if not (np.isfinite(self.theta) and self.theta > 0.0):
             raise ValueError("theta must be a positive finite rate")
 
@@ -165,6 +157,8 @@ class ContaminationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ContaminationKind(self.kind))
+        _check_real("q", self.q)
+        _check_real("magnitude", self.magnitude)
         if not (np.isfinite(self.q) and 0.0 <= self.q <= 1.0):
             raise ValueError("q must lie in [0, 1]")
         if not (np.isfinite(self.magnitude) and self.magnitude >= 0.0):
@@ -209,11 +203,12 @@ def contaminate(
     grid: Grid, sample: FunctionalSample, spec: ContaminationSpec, seed
 ) -> FunctionalSample:
     """Draw contamination per curve and shift the fully observed curves."""
-    if spec.kind is ContaminationKind.NONE:
-        return sample
     _check_grid(grid, sample)
+    seed = seed_sequence(seed)
     if not sample.mask.all():
         raise ValueError("contamination applies to fully observed curves")
+    if spec.kind is ContaminationKind.NONE:
+        return sample
     draws = _draws(spec, sample.n_curves, seed)
     shift = _shift(grid.points, spec.kind, spec.magnitude, *draws)
     return FunctionalSample._adopt(grid, sample.values + shift, sample.mask)
@@ -236,6 +231,7 @@ class ObservationSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ObservationKind(self.kind))
         _check_integer("n_intervals", self.n_intervals)
+        _check_real("p_obs", self.p_obs)
         if not (np.isfinite(self.p_obs) and 0.0 < self.p_obs <= 1.0):
             raise ValueError("p_obs must lie in (0, 1]")
         if self.kind is ObservationKind.RANDOM_INTERVALS:

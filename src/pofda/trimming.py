@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, _frozen
+from .core import FunctionalSample, _check_real, _frozen
 
 __all__ = [
     "TrimSpec",
@@ -34,6 +34,7 @@ def resolved_keep_count(n: int, alpha: float) -> int:
     """Number of curves kept by an alpha-trim of an n-curve sample."""
     if n < 1:
         raise ValueError("need at least one curve")
+    _check_real("alpha", alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     trimmed = min(math.floor(n * alpha + _FLOOR_SNAP), n - 1)

@@ -8,7 +8,7 @@ import pytest
 import pofda.cli
 from pofda.cli import main
 from pofda.io import read_curves_csv
-from pofda.harness import ScenarioConfig, read_results_csv, run_scenario
+from pofda.harness import RESULT_COLUMNS, ScenarioConfig, run_scenario
 from pofda.trimming import resolved_keep_count
 
 from conftest import read_csv
@@ -27,8 +27,9 @@ def test_simulate_writes_curves_and_masks(tmp_path):
     assert code == 0
     sample, names = read_curves_csv(out)
     assert sample.n_curves == 6 and sample.grid.size == 30
-    header, rows = read_csv(tmp_path / "curves_mask.csv")
-    assert header[0] == "t" and len(rows) == 30
+    # the curve file alone carries the masks, as its empty cells
+    assert sample.mask.any(axis=1).all() and not sample.mask.all()
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
 
 
 def test_simulate_then_depth_then_trim(tmp_path):
@@ -62,9 +63,9 @@ def test_run_scenario_with_config_and_overrides(tmp_path):
     code = run_cli("run-scenario", "--config", str(cfg), "--seed", "3",
                    "--out", str(out))
     assert code == 0
-    rows = read_results_csv(out)
-    assert len(rows) == 2
-    assert rows[1].pollution_type == "asymmetric"
+    header, rows = read_csv(out)
+    assert header == RESULT_COLUMNS and len(rows) == 2
+    assert rows[1][header.index("pollution_type")] == "asymmetric"
 
 
 def test_run_scenario_rejects_non_object_entry(tmp_path, capsys):
@@ -101,7 +102,8 @@ def test_run_scenario_flags_only(tmp_path):
     code = run_cli("run-scenario", "--n", "8", "--len", "25", "--reps", "2",
                    "--seed", "2", "--out", str(out))
     assert code == 0
-    assert len(read_results_csv(out)) == 1
+    header, rows = read_csv(out)
+    assert header == RESULT_COLUMNS and len(rows) == 1
 
 
 def test_reproduce_tables_cli(tmp_path):
@@ -144,6 +146,9 @@ def test_bad_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("depth", "--depth", "banana", "--input", "x.csv")
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--mask-out", "x.csv")
+    assert exc.value.code == 2
 
 
 def test_run_scenario_m_flag_reaches_config(tmp_path, monkeypatch):
@@ -167,15 +172,12 @@ def test_run_scenario_m_flag_reaches_config(tmp_path, monkeypatch):
 CLI_OUTPUT_SHA256 = {
     "centered.csv": "468f1ae05d12c74144318a06589ff09023fceec12c523d40d10e372c50e133bd",
     "centered_depth.csv": "142a1c80dcfee78116599e89a10c92ec346562729b2d9352002fd2018a8caa6f",
-    "centered_mask.csv": "5f55317a469d41cba059f809973cb216807b55c755de948f962f459e345e1e0a",
     "centered_p1.csv": "01b10c53ccf107c564c33b2095509e678d85105df29e0b2edd5472f8a4436ad3",
     "centered_p1_depth.csv": "10602dc1436d87a78c8838bd87e7771ab6a71889ce7bf996d368005ebd39d79d",
-    "centered_p1_mask.csv": "d260f1796c637e35de875e50ae49a46c3fd542617c5138ac730f6e0689817837",
     "centered_p1_trim.csv": "9b7f3576d99899ea031dc12f7c83fdc497b48dd271f1b761b778ec15dc989a3d",
     "centered_trim.csv": "a56e1e95d5e30c1ab8a899b561d4a67c95bb8c76d25acca6e05818427dceea7e",
     "intervals.csv": "26e9d1783a48e77d468bdc8f9c091e1be1c8468a30fa4cc7e983efb607168065",
     "intervals_depth.csv": "d09fb734cd307b6a26352ce2a2d0a158683475393e8e2ddc00ca98fc891e7931",
-    "intervals_mask.csv": "dc7e30412ed7b3cbdf5d84e4eefd8049f8c71a5c6a71099872c8790575e9512d",
     "intervals_trim.csv": "5914e8b73fea166e157932086cb3b38e4df5adfd55e31750d5d2897814f579a6",
     "plots/coverage.csv": "0f39582ff52ba45dfb0fa92f9b6bf9a00628d19d772036c046ad0dee6a01f2a8",
     "plots/curves.csv": "5a910c66bd38e6cbf4cfa57a48a3a05e84a59c61bb6f3e7e57d1cd5e867a874d",
@@ -217,7 +219,7 @@ def test_cli_output_bytes_pinned(tmp_path):
 # flags were each declared once: every subcommand keeps exactly these.
 SUBCOMMAND_OPTIONS = {
     "simulate": [
-        "--M", "--contamination", "--help", "--len", "--m", "--mask-out", "--n",
+        "--M", "--contamination", "--help", "--len", "--m", "--n",
         "--observe", "--out", "--p-obs", "--q", "--seed", "--theta", "-h",
     ],
     "depth": ["--depth", "--help", "--input", "--out", "--phi", "-h"],

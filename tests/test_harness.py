@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from pofda.harness import (
     ScenarioConfig,
     ScenarioResult,
     load_scenarios,
-    read_results_csv,
     reproduce_tables,
     run_scenario,
     table_configs,
     write_results_csv,
 )
+
+from conftest import read_csv
 
 
 class TestScenarioConfig:
@@ -142,8 +144,8 @@ class TestReproduceTables:
         assert [p.name for p in paths_a] == [f"table{i}.csv" for i in (1, 2, 3, 4)]
         for pa, pb in zip(paths_a, paths_b):
             assert pa.read_bytes() == pb.read_bytes()
-            rows = read_results_csv(pa)
-            assert len(rows) == 12
+            header, rows = read_csv(pa)
+            assert header == RESULT_COLUMNS and len(rows) == 12
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_rejects_bad_jobs(self, tmp_path, monkeypatch, jobs):
@@ -178,7 +180,13 @@ class TestReproduceTables:
         results = [run_scenario(cfg, 0)]
         path = tmp_path / "res.csv"
         write_results_csv(path, results)
-        assert read_results_csv(path) == results
+        header, rows = read_csv(path)
+        assert header == RESULT_COLUMNS and len(rows) == len(results)
+        # every cell parses back to its field's value: floats exactly
+        for result, row in zip(results, rows):
+            for f, cell in zip(fields(ScenarioResult), row, strict=True):
+                value = getattr(result, f.name)
+                assert type(value)(cell) == value, f.name
 
     def test_header_exact(self, tmp_path):
         cfg = ScenarioConfig(grid_len=30, n_curves=8, n_reps=1, seed=1)
@@ -218,11 +226,6 @@ class TestScenarioFile:
         bad.write_text(json.dumps(entries))
         with pytest.raises(ValueError, match=f"scenario entry {index} is not an object"):
             load_scenarios(bad)
-
-
-def test_result_row_parsing_rejects_short_rows():
-    with pytest.raises(ValueError):
-        ScenarioResult.from_row(["1", "2"])
 
 
 def test_tables_validate_one_sample_per_replication(tmp_path, monkeypatch):

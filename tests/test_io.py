@@ -8,7 +8,6 @@ from pofda.io import (
     write_curves_csv,
     write_depth_csv,
     write_estimate_csv,
-    write_mask_csv,
 )
 from pofda.trimming import LocationEstimate
 
@@ -61,24 +60,13 @@ def test_read_rejects_ragged_rows(tmp_path):
         read_curves_csv(path)
 
 
-def test_mask_csv(tmp_path):
-    grid = Grid.uniform(2)
-    c = PartialCurve(np.array([1.0, 0.0]), np.array([True, False]))
-    path = tmp_path / "m.csv"
-    write_mask_csv(path, build_sample(grid, [c]))
-    header, rows = read_csv(path)
-    assert header == ["t", "curve_1"]
-    assert [r[1] for r in rows] == ["1", "0"]
-
-
 def test_writers_reject_wrong_name_count(tmp_path, rng):
     s = random_masked_sample(rng, 4, 5)
-    for write in (write_curves_csv, write_mask_csv):
-        path = tmp_path / f"{write.__name__}.csv"
-        with pytest.raises(ValueError, match="one name per curve"):
-            write(path, s, names=["a"])
-        write(path, s, names=list("abcd"))
-        assert read_csv(path)[0] == ["t", "a", "b", "c", "d"]
+    path = tmp_path / "curves.csv"
+    with pytest.raises(ValueError, match="one name per curve"):
+        write_curves_csv(path, s, names=["a"])
+    write_curves_csv(path, s, names=list("abcd"))
+    assert read_csv(path)[0] == ["t", "a", "b", "c", "d"]
 
 
 def test_coverage_csv(tmp_path, rng):

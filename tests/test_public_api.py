@@ -1,5 +1,5 @@
-"""The public surface: what `pofda` exports and what the benchmark and
-the scripts import.
+"""The public surface: what `pofda` and each submodule export, and what
+the benchmark and the scripts import.
 
 Adding or removing an export shows up here as a test diff, and an
 `__all__` entry left behind by a deletion, or a deleted name that the
@@ -53,6 +53,40 @@ PUBLIC_NAMES = [
     "trimmed_mean",
 ]
 
+# Each submodule's sorted `__all__`; None for a module without one.
+SUBMODULE_NAMES = {
+    "pofda._streams": None,
+    "pofda.cli": None,
+    "pofda.consistency": [
+        "centered_coverage", "convergence_probe", "default_probe_curves",
+        "population_coverage", "population_poifd",
+    ],
+    "pofda.core": ["FunctionalSample", "Grid", "PartialCurve", "build_sample"],
+    "pofda.depths": ["DepthKind", "depth_from_counts"],
+    "pofda.harness": [
+        "RESULT_COLUMNS", "ScenarioConfig", "ScenarioResult", "reproduce_tables",
+        "run_replication", "run_scenario", "table_configs", "write_results_csv",
+    ],
+    "pofda.io": [
+        "curve_names", "read_curves_csv", "write_coverage_csv", "write_curves_csv",
+        "write_depth_csv", "write_estimate_csv",
+    ],
+    "pofda.metrics": ["ReplicationError", "ScenarioMetrics", "aggregate", "integrated_error"],
+    "pofda.plots": ["plot_data", "render_sample_svg"],
+    "pofda.poifd": [
+        "DepthResult", "NAMED_PHI", "PhiLike", "ifd", "poifd_all", "poifd_of",
+        "pointwise_depth_field", "resolve_phi",
+    ],
+    "pofda.simulate": [
+        "ContaminationKind", "ContaminationSpec", "GpModel", "ObservationKind",
+        "ObservationSpec", "contaminate", "observe", "sample_gp", "simulate_sample",
+    ],
+    "pofda.trimming": [
+        "LocationEstimate", "TrimSpec", "ordinary_mean", "resolved_keep_count",
+        "select_trim", "trimmed_mean",
+    ],
+}
+
 ROOT = Path(__file__).resolve().parent.parent
 IMPORTING_DIRS = [ROOT / "perfbench", ROOT / "scripts"]
 PACKAGE_DIR = ROOT / "src" / "pofda"
@@ -101,7 +135,10 @@ def test_package_all_resolves_and_is_pinned():
 
 def test_submodule_all_resolves():
     modules = _submodules()
-    assert {m.__name__ for m in modules} >= {"pofda.core", "pofda.poifd", "pofda.io"}
+    pinned = {
+        m.__name__: sorted(m.__all__) if hasattr(m, "__all__") else None for m in modules
+    }
+    assert pinned == SUBMODULE_NAMES
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"

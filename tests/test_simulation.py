@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+from pofda.consistency import population_coverage
 from pofda.core import Grid, PartialCurve, build_sample
 from pofda.simulate import (
     ContaminationKind,
     ContaminationSpec,
     GpModel,
+    ObservationKind,
     ObservationSpec,
     _cached_factor,
     _shift,
@@ -19,6 +21,7 @@ from pofda.simulate import (
     sample_gp,
     simulate_sample,
 )
+from pofda.trimming import resolved_keep_count
 
 from conftest import count_mask_runs, draw_mask_reference, flat_curves
 
@@ -164,18 +167,19 @@ class TestContaminate:
 
     def test_rejects_partial_curve_input(self, grid):
         partial = PartialCurve(np.zeros(grid.size), np.arange(grid.size) % 2 == 0)
-        with pytest.raises(ValueError):
-            contaminate(
-                grid,
-                build_sample(grid, [partial]),
-                ContaminationSpec("sym", q=1.0, magnitude=1.0),
-                seed=0,
-            )
+        for kind in ("none", "sym"):
+            with pytest.raises(ValueError, match="fully observed"):
+                contaminate(
+                    grid,
+                    build_sample(grid, [partial]),
+                    ContaminationSpec(kind, q=1.0, magnitude=1.0),
+                    seed=0,
+                )
 
     def test_rejects_other_grid(self, grid):
         curves = flat_curves(grid, 3)
         for other in other_grids(grid):
-            for kind in ("sym", "asym", "partial"):
+            for kind in ("none", "sym", "asym", "partial"):
                 spec = ContaminationSpec(kind, q=1.0, magnitude=1.0)
                 with pytest.raises(ValueError, match="sample's grid"):
                     contaminate(other, curves, spec, seed=0)
@@ -329,18 +333,52 @@ class TestSimulateSampleSeeds:
         np.testing.assert_array_equal(s.values, sample_gp(model, 2, gp_seed).values)
 
 
-@pytest.mark.parametrize("seed", [None, True, False])
+@pytest.mark.parametrize(
+    "seed",
+    [
+        None,
+        True,
+        False,
+        pytest.param((True, 3), id="nested_bool"),
+        pytest.param((1, None), id="nested_none"),
+        pytest.param([0, [False]], id="deep_bool"),
+        pytest.param((1, "2"), id="nested_str"),
+        pytest.param(SeedSequence((1, "2")), id="sequence_entropy_str"),
+    ],
+)
 def test_every_stage_requires_a_repeatable_seed(model, grid, seed):
-    # None would draw fresh OS entropy on every call, and a bool is no seed
+    # None would draw fresh OS entropy on every call, a bool is no seed,
+    # and numpy would parse text as an int: at any depth of a sequence.
+    # Every kind reads the seed, also those that draw nothing.
     full = sample_gp(model, 3, seed=1)
     with pytest.raises(ValueError, match="seed must be"):
         sample_gp(model, 3, seed)
-    with pytest.raises(ValueError, match="seed must be"):
-        contaminate(grid, full, ContaminationSpec("sym", q=0.5, magnitude=1.0), seed)
+    for kind in ("none", "sym"):
+        with pytest.raises(ValueError, match="seed must be"):
+            contaminate(grid, full, ContaminationSpec(kind, q=0.5, magnitude=1.0), seed)
     with pytest.raises(ValueError, match="seed must be"):
         observe(grid, full, ObservationSpec("full"), seed)
     with pytest.raises(ValueError, match="seed must be"):
         simulate_sample(model, 3, ContaminationSpec("none"), ObservationSpec("full"), seed)
+    for kind in ObservationKind:
+        spec = ObservationSpec(kind, p_obs=0.5, n_intervals=2)
+        with pytest.raises(ValueError, match="seed must be"):
+            population_coverage(spec, grid, mc_draws=10, seed=seed)
+
+
+@pytest.mark.parametrize("bad", [True, "a", None])
+def test_real_parameters_reject_non_real_numbers(grid, bad):
+    # each type checks the numbers it reads, bools included
+    builds = {
+        "theta": lambda: GpModel(grid=grid, theta=bad),
+        "q": lambda: ContaminationSpec("sym", q=bad),
+        "magnitude": lambda: ContaminationSpec("sym", magnitude=bad),
+        "p_obs": lambda: ObservationSpec("centered", p_obs=bad),
+        "alpha": lambda: resolved_keep_count(5, bad),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+            build()
 
 
 def test_pipeline_determinism_end_to_end(grid):
