@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -71,8 +72,8 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
 # least 2 * _BLOCK_CELLS cells is ranked on up to one thread per CPU the
 # process may run on, in blocks that many times narrower, so the cells
 # in flight across all threads stay at _BLOCK_CELLS. Each block writes
-# only its own columns of the field, so the bytes do not depend on the
-# thread count; `taskset` pins the process to fewer CPUs.
+# only its own rows of the grid-column-major field, so the bytes do not
+# depend on the thread count; `taskset` pins the process to fewer CPUs.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -84,92 +85,124 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _depth_field(sample: FunctionalSample, kind: DepthKind, fill: float) -> np.ndarray:
-    """Per-curve per-point sample depths, `fill` where a curve is unobserved.
+def _workers(n: int, T: int) -> int:
+    """Threads that build and weigh the depth field of an (n, T) sample:
+    up to one per CPU, and at least one grid column each, for samples of
+    at least 2 * _BLOCK_CELLS cells; one for smaller samples."""
+    return min(_cpu_count(), T) if n * T >= 2 * _BLOCK_CELLS else 1
 
-    Each block of grid columns is gathered transposed, one row per
-    column, with +inf in unobserved slots: `values` holds NaN exactly
-    there, and fmin(NaN, inf) is inf. +inf sorts after every (finite)
-    observed value, so an observed entry is counted among the observed
-    ones only, and unlike NaN it keeps numpy's vectorized argsort path.
-    Each row's sort order is cut to the block's largest column count,
-    which drops unobserved slots only; those left in the cut get `fill`.
+
+def _pool(workers: int):
+    """Threads for all workers but the calling one, living only for the
+    call; none for a single worker."""
+    return ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+
+
+def _share(task: Callable[[int], object], workers: int, pool) -> list:
+    """[task(0), ..., task(workers - 1)], task 0 on the calling thread and
+    the others on `pool`: one thread and one malloc arena fewer hold block
+    temporaries."""
+    others = pool.map(task, range(1, workers)) if workers > 1 else ()
+    return [task(0), *others]
+
+
+def _tied_counts(ranked: np.ndarray, reads_lt: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(#<= v, #< v) of each entry v of a (w, keep) block whose rows are
+    sorted ascending, each row against itself; #< v only if `reads_lt`.
+
     In sorted order #< v is the start of v's tie group and #<= v its
-    end. Both come from one scan over the block's ranked values read as
-    one flat run, with a group start forced at every row start, and #< v
-    only for the kinds whose formula reads it. The depths are written
-    straight to their (curve, point) slots, each block to its own
-    columns, on up to `_cpu_count()` threads for large samples.
+    end. Both come from one scan over the rows read as one flat run, with
+    a group start forced at every row start.
+    """
+    w, keep = ranked.shape
+    ranked = ranked.reshape(-1)
+    size = w * keep
+    row_starts = np.arange(0, size, keep)
+    # a group starts at each new value and at each row start; the
+    # sentinel at `size` starts one past the last row
+    new_group = np.empty(size + 1, bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:size])
+    new_group[row_starts] = True
+    new_group[size] = True
+    pos = np.arange(size + 1)
+    # a group ends where the next one starts, found by a reversed scan ...
+    c_le = np.where(new_group, pos, size)[::-1]
+    np.minimum.accumulate(c_le, out=c_le)
+    c_le = c_le[-2::-1].reshape(w, keep)
+    c_le -= row_starts[:, None]
+    # ... and starts at the last group start at or before it
+    c_lt = None
+    if reads_lt:
+        c_lt = np.multiply(pos, new_group, out=pos)
+        np.maximum.accumulate(c_lt, out=c_lt)
+        c_lt = c_lt[:size].reshape(w, keep)
+        c_lt -= row_starts[:, None]
+    return c_le, c_lt
+
+
+def _depth_field(
+    sample: FunctionalSample, kind: DepthKind, fill: float, workers: int, pool
+) -> np.ndarray:
+    """Per-curve per-point sample depths, `fill` where a curve is unobserved,
+    as the F-ordered (n, T) view of a C-ordered (T, n) array; its
+    `.tobytes()` is the field's C-order bytes.
+
+    The field is built grid-column-major, one row per grid column, so each
+    block of columns is ranked within its own contiguous rows. The block
+    is gathered into them with +inf in unobserved slots: `values` holds
+    NaN exactly there, and fmin(NaN, inf) is inf. +inf sorts after every
+    (finite) observed value, so an observed entry is counted among the
+    observed ones only, and unlike NaN it keeps numpy's vectorized
+    argsort path. Each row's sort order is cut to the block's largest
+    column count, which drops unobserved slots only; those left in the
+    cut get `fill`. Where no two observed values of a column are equal,
+    the j-th smallest has #<= v = j + 1 and #< v = j; only a block with a
+    tie runs the group scan of `_tied_counts`. The rows are then reset to
+    `fill` and the depths scattered back within them, on `workers`
+    threads, the calling one and those of `pool`.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
     n, T = values.shape
-    out = np.full((n, T), fill)
+    field = np.empty((T, n))
     # k = 1 in a column no curve observes only keeps the division defined
     k = np.maximum(counts, 1)
-    # at least one grid column per thread
-    workers = min(_cpu_count(), T) if n * T >= 2 * _BLOCK_CELLS else 1
     width = max(1, _BLOCK_CELLS // (n * workers))
 
     def rank(start: int) -> None:
         cols = slice(start, start + width)
+        block = field[cols]
         keep = int(counts[cols].max())
         if keep == 0:  # no curve observes these columns
+            block.fill(fill)
             return
-        w = min(width, T - start)
-        block = np.empty((w, n))
         np.fmin(values[:, cols].T, np.inf, out=block)
         # flat index into `block` of each kept entry, in sorted order
         order = np.argsort(block, axis=1)[:, :keep]
-        order += np.arange(0, w * n, n)[:, None]
-        ranked = block.reshape(-1)[order].reshape(-1)
+        order += np.arange(0, block.size, n)[:, None]
+        ranked = block.reshape(-1)[order]
+        # the cut keeps the unobserved slots of the less observed columns
+        observed = np.arange(keep) < counts[cols, None]
+        tied = ranked[:, 1:] == ranked[:, :-1]
+        tied &= observed[:, 1:]
+        if tied.any():
+            c_le, c_lt = _tied_counts(ranked, kind in _READS_LT)
+        else:
+            c_le, c_lt = np.arange(1, keep + 1), np.arange(keep)
         # temporaries are dropped as soon as they are read: each thread's
         # peak stays resident in its own malloc arena
-        del block
-        size = w * keep
-        row_starts = np.arange(0, size, keep)
-        # a group starts at each new value and at each row start; the
-        # sentinel at `size` starts one past the last row
-        new_group = np.empty(size + 1, bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:size])
-        del ranked
-        new_group[row_starts] = True
-        new_group[size] = True
-        pos = np.arange(size + 1)
-        # a group ends where the next one starts, found by a reversed scan ...
-        c_le = np.where(new_group, pos, size)[::-1]
-        np.minimum.accumulate(c_le, out=c_le)
-        c_le = c_le[-2::-1].reshape(w, keep)
-        c_le -= row_starts[:, None]
-        # ... and starts at the last group start at or before it
-        c_lt = None
-        if kind in _READS_LT:
-            c_lt = np.multiply(pos, new_group, out=pos)
-            np.maximum.accumulate(c_lt, out=c_lt)
-            c_lt = c_lt[:size].reshape(w, keep)
-            c_lt -= row_starts[:, None]
+        del ranked, tied
         depth = depth_from_counts(kind, c_le, c_lt, k[cols, None])
-        # the cut keeps the unobserved slots of the less observed columns
-        np.copyto(depth, fill, where=np.arange(keep) >= counts[cols, None])
-        # entry r * n + i of `block` is curve i at grid point start + r
-        order *= T
-        order += (start - np.arange(w) * (n * T - 1))[:, None]
-        out.reshape(-1)[order] = depth
+        np.copyto(depth, fill, where=~observed)
+        block.fill(fill)
+        block.reshape(-1)[order] = depth
 
     def rank_every(first: int) -> None:
         for start in range(first * width, T, workers * width):
             rank(start)
 
-    if workers == 1:
-        rank_every(0)
-        return out
-    # the calling thread ranks one share of the blocks itself, so one
-    # thread and one malloc arena fewer hold block temporaries
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = pool.map(rank_every, range(1, workers))
-        rank_every(0)
-        list(others)
-    return out
+    _share(rank_every, workers, pool)
+    return field.T
 
 
 def _count_columns(hits: np.ndarray) -> np.ndarray:
@@ -250,10 +283,16 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
 
     Each curve's own value participates in the pointwise empirical
     distribution it is evaluated against (plug-in convention). The
-    depths are evaluated in each grid column's sorted order and written
-    straight to their (curve, point) slots.
+    field is ranked in grid-column-major rows, one per grid column, and
+    returned as their F-ordered (n, T) view: `.tobytes()` gives the same
+    C-order bytes as a C-ordered field would. The depths are evaluated in
+    each column's sorted order, by a group scan only in blocks of columns
+    with a tie, and scattered within the column's own row.
     """
-    return _depth_field(sample, kind, np.nan)
+    n, T = sample.values.shape
+    workers = _workers(n, T)
+    with _pool(workers) as pool:
+        return _depth_field(sample, kind, np.nan, workers, pool)
 
 
 @dataclass(frozen=True)
@@ -289,24 +328,34 @@ def poifd_all(
     # allocated before the field, so a caller that keeps the depths holds
     # no heap block above the field's and the next call can reuse its space
     out = np.empty(n)
-    field = _depth_field(sample, kind, 0.0)
-    point_weights = _phi_of_coverage(phi, sample.coverage)
-    # the weights are built one block of about _BLOCK_CELLS cells at a
-    # time, so no (n, T) weight matrix is held next to the field
-    rows = max(1, _BLOCK_CELLS // T)
-    for first in range(0, n, rows):
-        block = slice(first, first + rows)
-        weights = np.where(sample.mask[block], point_weights, 0.0)
-        norms = weights.sum(axis=1)
-        if np.any(norms <= 0.0):
-            bad = first + int(np.nonzero(norms <= 0.0)[0][0])
-            raise ValueError(
-                f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
-            )
-        weights /= norms[:, None]
-        # unobserved slots hold 0 in the field and weigh 0
-        weights *= field[block]
-        weights.sum(axis=1, out=out[block])
+    workers = _workers(n, T)
+    with _pool(workers) as pool:
+        field = _depth_field(sample, kind, 0.0, workers, pool)
+        point_weights = _phi_of_coverage(phi, sample.coverage)
+        # the weights are built in blocks of rows, as many times narrower
+        # as there are threads, so the cells in flight stay at about
+        # _BLOCK_CELLS and no (n, T) weight matrix is held next to the
+        # field; a thread stops at its first curve whose weights sum to 0
+        rows = max(1, _BLOCK_CELLS // (T * workers))
+
+        def weigh_every(first: int) -> int:
+            for start in range(first * rows, n, workers * rows):
+                block = slice(start, start + rows)
+                weights = np.where(sample.mask[block], point_weights, 0.0)
+                norms = weights.sum(axis=1)
+                if np.any(norms <= 0.0):
+                    return start + int(np.nonzero(norms <= 0.0)[0][0])
+                weights /= norms[:, None]
+                # unobserved slots hold 0 in the field and weigh 0
+                weights *= field[block]
+                weights.sum(axis=1, out=out[block])
+            return n
+
+        bad = min(_share(weigh_every, workers, pool))
+    if bad < n:
+        raise ValueError(
+            f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
+        )
     return DepthResult(out)
 
 

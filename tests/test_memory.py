@@ -3,7 +3,7 @@
 tracemalloc counts numpy's data allocations exactly, so a stage's traced
 peak above its start says how many full-size temporaries it holds. The
 sample is large enough that the depth field's block temporaries, about
-_BLOCK_CELLS cells per thread, are small next to one matrix.
+_BLOCK_CELLS cells across all threads, are small next to one matrix.
 """
 
 import tracemalloc
@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from pofda.core import Grid
-from pofda.poifd import poifd_all
+from pofda.poifd import poifd_all, pointwise_depth_field
 from pofda.simulate import (
     ContaminationSpec,
     GpModel,
@@ -34,6 +34,7 @@ BOUNDS = {
     "contaminate": 1.6,
     "observe": 1.6,
     "simulate_sample": 2.15,
+    "pointwise_depth_field": 1.6,
     "poifd_all": 1.85,
     "trimmed_mean": 0.5,
     "ordinary_mean": 0.25,
@@ -65,6 +66,7 @@ def peaks():
     _, out["observe"] = traced_peak(observe, grid, curves, masks, 3)
     del curves
     sample, out["simulate_sample"] = traced_peak(simulate_sample, model, N, shifts, masks, 4)
+    _, out["pointwise_depth_field"] = traced_peak(pointwise_depth_field, sample, "fm")
     depths, out["poifd_all"] = traced_peak(poifd_all, sample)
     trim = select_trim(depths.poifd, 0.2)
     _, out["trimmed_mean"] = traced_peak(trimmed_mean, sample, trim)

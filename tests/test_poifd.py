@@ -179,16 +179,31 @@ class TestPoifd:
             poifd_all(s, phi=lambda q: np.zeros_like(q))
 
     def test_degenerate_phi_names_curve_in_later_row_block(self):
-        # 4 rows per weight block; curve 9, in the third block, observes
-        # only point 0, where the weight is 0
+        # 4 rows per weight block on one thread; curve 9, in the third
+        # block, observes only point 0, where the weight is 0. On 2 threads
+        # (n * T >= 2 * _BLOCK_CELLS) the blocks have 2 rows and alternate
+        # between the threads: curve 9 is the calling thread's and curve
+        # 7, made bad next, the pool thread's
         n, T = 12, 5
         mask = np.ones((n, T), bool)
         mask[:, 0] = False
         mask[9] = np.arange(T) == 0
-        s = FunctionalSample(Grid.uniform(T), np.arange(n * T, dtype=float).reshape(n, T), mask)
-        with mock.patch.object(poifd, "_BLOCK_CELLS", 4 * T):
-            with pytest.raises(ValueError, match="weights of curve 9 sum to zero"):
-                poifd_all(s, phi=lambda q: np.where(q < 0.5, 0.0, q))
+        values = np.arange(n * T, dtype=float).reshape(n, T)
+        phi = lambda q: np.where(q < 0.5, 0.0, q)  # noqa: E731
+        for bad, first in [([9], 9), ([7, 9], 7)]:
+            mask[bad] = np.arange(T) == 0
+            s = FunctionalSample(Grid.uniform(T), values, mask)
+            for cpus in (1, 2):
+                with (
+                    mock.patch.object(poifd, "_BLOCK_CELLS", 4 * T),
+                    mock.patch.object(poifd, "_cpu_count", return_value=cpus),
+                    mock.patch.object(
+                        poifd, "ThreadPoolExecutor", wraps=ThreadPoolExecutor
+                    ) as pool,
+                    pytest.raises(ValueError, match=f"weights of curve {first} sum to zero"),
+                ):
+                    poifd_all(s, phi=phi)
+                assert pool.call_count == cpus - 1
 
     def test_negative_phi_rejected(self):
         s = constant_sample([1.0, 2.0])
@@ -258,11 +273,11 @@ def _check_against_reference(sample, query):
     )
     full_query = PartialCurve.fully_observed(np.nan_to_num(query.values))
     for kind in ALL_KINDS:
-        # the field ranked on 1 and on 4 threads, and poifd_all's bytes
-        # the same under both
+        # the field ranked on 1, 2 and 4 threads, and poifd_all's bytes
+        # the same under all three
         want = _field_reference(sample, kind).tobytes()
         depths = set()
-        for cpus in (1, 4):
+        for cpus in (1, 2, 4):
             with mock.patch.object(poifd, "_cpu_count", return_value=cpus):
                 assert pointwise_depth_field(sample, kind).tobytes() == want
                 depths.add(poifd_all(sample, kind).poifd.tobytes())
@@ -350,6 +365,60 @@ class TestRankKernel:
                 _check_against_reference(*case)
         if T > 100:
             assert T > poifd._BLOCK_CELLS // n
+
+    @pytest.mark.parametrize("block_cells", [1, 16, poifd._BLOCK_CELLS])
+    def test_group_scan_only_for_blocks_with_a_tie(self, block_cells):
+        # columns 0-5 hold distinct floats, columns 6-11 integers 0..2,
+        # which tie; half the curves miss every third column, so the sort
+        # rows of those columns end in equal +inf padding
+        n, T = 8, 12
+        rng = np.random.default_rng(12)
+        values = np.hstack([rng.normal(size=(n, 6)), rng.integers(0, 3, size=(n, 6))])
+        mask = np.ones((n, T), bool)
+        mask[: n // 2, ::3] = False
+        query = rng.normal(size=T), rng.random(T) < 0.7
+        tie_free = _integer_case(values[:, :6], mask[:, :6], None, query[0][:6], query[1][:6])
+        mixed = _integer_case(values, mask, None, *query)
+        with (
+            mock.patch.object(poifd, "_BLOCK_CELLS", block_cells),
+            mock.patch.object(poifd, "_tied_counts", wraps=poifd._tied_counts) as scan,
+        ):
+            # equal padding is no tie: the tie-free sample never scans
+            _check_against_reference(*tie_free)
+            assert scan.call_count == 0
+            _check_against_reference(*mixed)
+            assert scan.call_count > 0
+            if block_cells == 1:
+                # one column per block: only the integer columns scan
+                calls = scan.call_count
+                pointwise_depth_field(mixed[0], "tukey")
+                assert scan.call_count - calls == 6
+
+    def test_weighting_threads_keep_the_bytes(self):
+        # 700 x 200 cells: over 2 * _BLOCK_CELLS, so both the field and the
+        # weighting run on 2 threads, and the weight blocks split the rows
+        n, T = 700, 200
+        rng = np.random.default_rng(n)
+        mask = rng.random((n, T)) < 0.6
+        mask[:, 0] = True
+        sample = FunctionalSample(Grid.uniform(T), rng.normal(size=(n, T)), mask)
+        assert n * T >= 2 * poifd._BLOCK_CELLS
+        for kind in ALL_KINDS:
+            # the whole-matrix weighting, row by row as poifd_all's blocks
+            weights = np.where(mask, sample.coverage, 0.0)
+            weights /= weights.sum(axis=1)[:, None]
+            weights *= np.nan_to_num(_field_reference(sample, kind))
+            want = weights.sum(axis=1).tobytes()
+            for cpus in (1, 2):
+                with (
+                    mock.patch.object(poifd, "_cpu_count", return_value=cpus),
+                    mock.patch.object(
+                        poifd, "ThreadPoolExecutor", wraps=ThreadPoolExecutor
+                    ) as pool,
+                ):
+                    assert poifd_all(sample, kind).poifd.tobytes() == want
+                # one pool serves the field and the weighting
+                assert pool.call_count == cpus - 1
 
     def test_threads_only_for_large_samples_and_joined(self):
         # 33 x 2000 cells: at least 2 blocks of 16 cells, under 2 blocks
