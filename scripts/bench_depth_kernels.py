@@ -12,7 +12,10 @@ milliseconds of `pointwise_depth_field` (Fraiman-Muniz) on masked
 normal samples, and of one `poifd_of` query at n = 10^4, T = 101
 (Fraiman-Muniz, which counts #<= x only, and Tukey, which also counts
 #< x), plus the sha256 of the depth fields and the Fraiman-Muniz query,
-so two versions can be checked equal. It also times Fraiman-Muniz
+so two versions can be checked equal. It also times two tie-heavy
+fields at n = 10^4, T = 200, integers 0..9 and normals rounded to 2
+decimals, as discretized data gives; each is checked against a
+per-column-sort reference and stays out of the digest. It times Fraiman-Muniz
 queries at n = 50 and n = 1000, where a query's fixed cost shows, and
 narrow partially observed queries (2 and 21 observed points) at
 n = 10^4. Every query is checked against a plain two-comparison numpy
@@ -47,13 +50,18 @@ from pofda.simulate import (  # noqa: E402
 from pofda.trimming import ordinary_mean, select_trim, trimmed_mean  # noqa: E402
 
 FIELD_SIZES = [(80, 200), (1000, 200), (80, 2000), (10_000, 200)]
+TIED_SIZE = (10_000, 200)
+TIED_DRAWS = {
+    "ints0to9": lambda rng, shape: rng.integers(0, 10, size=shape).astype(float),
+    "round2": lambda rng, shape: np.round(rng.normal(size=shape), 2),
+}
 REPEATS = 7
 PEAK_SIZE = (10_000, 200)
 
 
-def masked_sample(n, T, seed):
+def masked_sample(n, T, seed, draw=lambda rng, shape: rng.normal(size=shape)):
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(n, T))
+    values = draw(rng, (n, T))
     mask = rng.random((n, T)) > 0.3
     mask[~mask.any(axis=1), 0] = True
     return FunctionalSample(Grid.uniform(T), values, mask)
@@ -67,6 +75,16 @@ def best_ms(fn):
         fn()
         best = min(best, time.perf_counter() - start)
     return round(best * 1e3, 3), np.asarray(out).tobytes()
+
+
+def field_reference(sample):
+    """Fraiman-Muniz depth field by one sort per grid column."""
+    out = np.full(sample.values.shape, np.nan)
+    for ell in np.flatnonzero(sample.counts):
+        observed = sample.values[sample.mask[:, ell], ell]
+        c_le = np.searchsorted(np.sort(observed), observed, side="right")
+        out[sample.mask[:, ell], ell] = depth_from_counts("fm", c_le, None, observed.size)
+    return out
 
 
 def query_reference(sample, probe, kind):
@@ -113,6 +131,13 @@ def main():
         ms, out = best_ms(lambda: pointwise_depth_field(sample, "fm"))
         times[f"depth_field.n{n}_T{T}"] = ms
         digest.update(out)
+    n, T = TIED_SIZE
+    for name, draw in TIED_DRAWS.items():
+        sample = masked_sample(n, T, seed=n + T, draw=draw)
+        ms, out = best_ms(lambda: pointwise_depth_field(sample, "fm"))
+        times[f"depth_field.{name}.n{n}_T{T}"] = ms
+        if out != field_reference(sample).tobytes():
+            raise SystemExit(f"tie-heavy field {name} differs from the per-column-sort reference")
     sample = masked_sample(10_000, 101, seed=1)
     probe = PartialCurve.fully_observed(np.sin(np.linspace(0.0, 3.0, 101)))
     queries = [("poifd_of.n10000_T101", sample, probe, "fm")]

@@ -76,6 +76,10 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
 # depend on the thread count; `taskset` pins the process to fewer CPUs.
 _BLOCK_CELLS = 1 << 16
 
+# Padding of the unobserved slots in a depth-field block's sort keys;
+# unlike +inf, it stays finite whatever its low bits hold.
+_DBL_MAX = np.finfo(np.float64).max
+
 
 def _cpu_count() -> int:
     """Number of CPUs this process may run on."""
@@ -106,38 +110,25 @@ def _share(task: Callable[[int], object], workers: int, pool) -> list:
     return [task(0), *others]
 
 
-def _tied_counts(ranked: np.ndarray, reads_lt: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(#<= v, #< v) of each entry v of a (w, keep) block whose rows are
-    sorted ascending, each row against itself; #< v only if `reads_lt`.
+def _tied_counts(ranked: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tie groups of a (w, keep) block whose rows are sorted ascending,
+    each row against itself: (#<= v, #< v, k) of each group's value v,
+    with k[i] the count of row i, and the group sizes, in block order.
 
     In sorted order #< v is the start of v's tie group and #<= v its
-    end. Both come from one scan over the rows read as one flat run, with
-    a group start forced at every row start.
+    end. The groups come from one pass over the rows read as one flat
+    run, with a group start forced at every row start, so a depth taken
+    once per group and repeated by its size fills the block.
     """
-    w, keep = ranked.shape
+    keep = ranked.shape[1]
     ranked = ranked.reshape(-1)
-    size = w * keep
-    row_starts = np.arange(0, size, keep)
-    # a group starts at each new value and at each row start; the
-    # sentinel at `size` starts one past the last row
-    new_group = np.empty(size + 1, bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:size])
-    new_group[row_starts] = True
-    new_group[size] = True
-    pos = np.arange(size + 1)
-    # a group ends where the next one starts, found by a reversed scan ...
-    c_le = np.where(new_group, pos, size)[::-1]
-    np.minimum.accumulate(c_le, out=c_le)
-    c_le = c_le[-2::-1].reshape(w, keep)
-    c_le -= row_starts[:, None]
-    # ... and starts at the last group start at or before it
-    c_lt = None
-    if reads_lt:
-        c_lt = np.multiply(pos, new_group, out=pos)
-        np.maximum.accumulate(c_lt, out=c_lt)
-        c_lt = c_lt[:size].reshape(w, keep)
-        c_lt -= row_starts[:, None]
-    return c_le, c_lt
+    new_group = np.empty(ranked.size, bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:])
+    new_group[::keep] = True
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=ranked.size)
+    rows, c_lt = np.divmod(starts, keep)
+    return c_lt + sizes, c_lt, k[rows], sizes
 
 
 def _depth_field(
@@ -149,17 +140,30 @@ def _depth_field(
 
     The field is built grid-column-major, one row per grid column, so each
     block of columns is ranked within its own contiguous rows. The block
-    is gathered into them with +inf in unobserved slots: `values` holds
-    NaN exactly there, and fmin(NaN, inf) is inf. +inf sorts after every
-    (finite) observed value, so an observed entry is counted among the
-    observed ones only, and unlike NaN it keeps numpy's vectorized
-    argsort path. Each row's sort order is cut to the block's largest
-    column count, which drops unobserved slots only; those left in the
-    cut get `fill`. Where no two observed values of a column are equal,
-    the j-th smallest has #<= v = j + 1 and #< v = j; only a block with a
-    tie runs the group scan of `_tied_counts`. The rows are then reset to
-    `fill` and the depths scattered back within them, on `workers`
-    threads, the calling one and those of `pool`.
+    is gathered into them plus 0.0, so -0.0 and +0.0 are one value, with
+    DBL_MAX in the unobserved slots (`values` holds NaN exactly there,
+    and fmin(NaN, DBL_MAX) is DBL_MAX; low bits set on +inf would make a
+    NaN). Each entry then becomes a sort key: the low b = bit_length(n -
+    1) bits of its float64 pattern are replaced by its curve index. The
+    keys are finite and distinct, so one in-place float sort per row
+    orders them, and their low bits give the sort order. Keys whose top
+    64 - b bits differ sort as their values do, since those bits are
+    the values' own and float64 patterns order as their values within a
+    sign (in reverse for negatives). So a column whose first
+    min(keep + 1, n) sorted keys have no adjacent pair sharing their top
+    bits, bar pairs of padding, holds its observed values first and
+    strictly ascending (equal padding is no tie), with `keep` the block's
+    largest column count; there the j-th smallest has #<= v = j + 1 and
+    #< v = j. Any other block is gathered again, with +inf in the
+    unobserved slots, and its values read in key order. If they never
+    fall and no column's last observed slot is padding, the order holds,
+    and the depth is taken once per tie group of `_tied_counts`.
+    Otherwise values within 2^-(52 - b) of each other, in index order
+    against value order, or an observed value near DBL_MAX placed among
+    the padding, have misplaced the order, and `np.argsort` ranks the
+    block. The rows are then reset to `fill` and the depths scattered
+    back within them, on `workers` threads, the calling one and those of
+    `pool`.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
@@ -168,31 +172,50 @@ def _depth_field(
     # k = 1 in a column no curve observes only keeps the division defined
     k = np.maximum(counts, 1)
     width = max(1, _BLOCK_CELLS // (n * workers))
+    low = (1 << (n - 1).bit_length()) - 1
 
     def rank(start: int) -> None:
         cols = slice(start, start + width)
-        block = field[cols]
-        keep = int(counts[cols].max())
+        block, count = field[cols], counts[cols]
+        keep = int(count.max())
         if keep == 0:  # no curve observes these columns
             block.fill(fill)
             return
-        np.fmin(values[:, cols].T, np.inf, out=block)
-        # flat index into `block` of each kept entry, in sorted order
-        order = np.argsort(block, axis=1)[:, :keep]
-        order += np.arange(0, block.size, n)[:, None]
-        ranked = block.reshape(-1)[order]
         # the cut keeps the unobserved slots of the less observed columns
-        observed = np.arange(keep) < counts[cols, None]
-        tied = ranked[:, 1:] == ranked[:, :-1]
-        tied &= observed[:, 1:]
-        if tied.any():
-            c_le, c_lt = _tied_counts(ranked, kind in _READS_LT)
+        observed = np.arange(keep) < count[:, None]
+        np.add(values[:, cols].T, 0.0, out=block)
+        np.fmin(block, _DBL_MAX, out=block)
+        bits = block.view(np.int64)
+        bits &= ~low
+        bits |= np.arange(n)
+        block.sort(axis=1)
+        # flat index into `block` of each kept entry, in sorted order
+        offsets = np.arange(0, block.size, n)[:, None]
+        order = bits[:, :keep] & low
+        order += offsets
+        # adjacent keys sharing their top bits, unless both are padding
+        bits &= ~low
+        span = min(keep + 1, n)
+        near = bits[:, 1:span] == bits[:, : span - 1]
+        near &= observed[:, : span - 1]
+        if not near.any():
+            depth = depth_from_counts(kind, np.arange(1, keep + 1), np.arange(keep), k[cols, None])
         else:
-            c_le, c_lt = np.arange(1, keep + 1), np.arange(keep)
-        # temporaries are dropped as soon as they are read: each thread's
-        # peak stays resident in its own malloc arena
-        del ranked, tied
-        depth = depth_from_counts(kind, c_le, c_lt, k[cols, None])
+            # the exact values in key order fall, or a column's observed
+            # slots end in padding, only where near-ties misplaced them
+            np.fmin(values[:, cols].T, np.inf, out=block)
+            ranked = block.reshape(-1)[order]
+            seen = np.flatnonzero(count)
+            last = ranked[seen, count[seen] - 1]
+            if (ranked[:, 1:] < ranked[:, :-1]).any() or np.isinf(last).any():
+                order = np.argsort(block, axis=1)[:, :keep]
+                order += offsets
+                ranked = block.reshape(-1)[order]
+            *groups, sizes = _tied_counts(ranked, k[cols])
+            # dropped before the depths are built: each thread's peak
+            # stays resident in its own malloc arena
+            del ranked
+            depth = np.repeat(depth_from_counts(kind, *groups), sizes).reshape(-1, keep)
         np.copyto(depth, fill, where=~observed)
         block.fill(fill)
         block.reshape(-1)[order] = depth
@@ -285,9 +308,13 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
     distribution it is evaluated against (plug-in convention). The
     field is ranked in grid-column-major rows, one per grid column, and
     returned as their F-ordered (n, T) view: `.tobytes()` gives the same
-    C-order bytes as a C-ordered field would. The depths are evaluated in
-    each column's sorted order, by a group scan only in blocks of columns
-    with a tie, and scattered within the column's own row.
+    C-order bytes as a C-ordered field would. Each block of columns is
+    ordered by one float sort of keys that carry their curve index in
+    their low bits; where no two kept keys of a column share their top
+    bits, the order is exact and tie-free. Only other blocks re-read
+    their values in that order, and take the depth once per tie group,
+    or rank by `np.argsort` where near-ties have misplaced it. The depths
+    are scattered within the column's own row.
     """
     n, T = sample.values.shape
     workers = _workers(n, T)

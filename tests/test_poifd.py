@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pofda import poifd
 from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
@@ -341,6 +342,49 @@ def _random_tied_case(n, T, gap):
     )
 
 
+def _chain(base, width):
+    """`base` and the `width` floats on each side of it, ascending."""
+    below, above = [base], [base]
+    for _ in range(width):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+_DBL_MAX = np.finfo(float).max
+# signed zeros, the extreme subnormals and normals, and the top of the range
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+_EXTREMES += [_DBL_MAX, -_DBL_MAX, np.nextafter(_DBL_MAX, 0.0), np.nextafter(-_DBL_MAX, 0.0)]
+# floats a few ulps apart, and up to 300 ulps apart, which spans the low
+# bits the depth field packs a curve index into for n <= 129
+_NEAR_POOLS = [
+    _chain(base, width) + _EXTREMES for base in (1.0, -1.0, 0.0) for width in (3, 300)
+]
+
+
+@st.composite
+def _near_tie_cases(draw):
+    """Samples of near-tied floats under random masks, n on both sides of
+    the widths of the curve index packed into the sort keys (0, 1, 2, 6,
+    7 and 8 bits)."""
+    n = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 127, 128, 129]))
+    T = draw(st.integers(2, 5))
+    pool = draw(st.sampled_from(_NEAR_POOLS))
+    values = draw(hnp.arrays(float, (n, T), elements=st.sampled_from(pool)))
+    p_obs = draw(st.sampled_from([1.0, 0.6, 0.2]))
+    mask = draw(hnp.arrays(float, (n, T), elements=st.floats(0.0, 1.0))) < p_obs
+    mask[~mask.any(axis=1), 0] = True
+    return FunctionalSample(Grid.uniform(T), values, mask)
+
+
+def _field_matches(sample, cpus=(1, 2)):
+    for kind in ALL_KINDS:
+        want = _field_reference(sample, kind).tobytes()
+        for count in cpus:
+            with mock.patch.object(poifd, "_cpu_count", return_value=count):
+                assert pointwise_depth_field(sample, kind).tobytes() == want
+
+
 class TestRankKernel:
     @given(case=_tied_cases(), block_cells=st.sampled_from([1, 4, 16, poifd._BLOCK_CELLS]))
     @settings(max_examples=80, deadline=None)
@@ -393,6 +437,68 @@ class TestRankKernel:
                 calls = scan.call_count
                 pointwise_depth_field(mixed[0], "tukey")
                 assert scan.call_count - calls == 6
+
+    @given(
+        sample=_near_tie_cases(),
+        block_cells=st.sampled_from([1, 16, poifd._BLOCK_CELLS]),
+        cpus=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_near_ties_match_per_column_sort(self, sample, block_cells, cpus):
+        with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+            _field_matches(sample, (cpus,))
+
+    def test_argsort_only_for_disordered_keys(self):
+        # continuous and integer-tied samples keep the key order
+        n, T = 300, 40
+        rng = np.random.default_rng(n)
+        mask = rng.random((n, T)) < 0.7
+        mask[:, 0] = True
+        continuous = FunctionalSample(Grid.uniform(T), rng.normal(size=(n, T)), mask)
+        tied = FunctionalSample(Grid.uniform(T), rng.integers(0, 5, size=(n, T)), mask)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            for sample in (continuous, tied):
+                for block_cells in (16, poifd._BLOCK_CELLS):
+                    with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+                        _field_matches(sample)
+            assert argsort.call_count == 0
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, but their bit patterns differ in the sign bit, which
+        # no packed index reaches: the field adds 0.0 before packing
+        values = np.array([[-0.0, 1.0, 0.0, -2.0, 3.0], [5.0, 4.0, 3.0, 2.0, 1.0]]).T
+        sample = FunctionalSample(Grid.uniform(2), values, np.ones(values.shape, bool))
+        with mock.patch.object(poifd, "_tied_counts", wraps=poifd._tied_counts) as scan:
+            _field_matches(sample)
+        assert scan.call_count > 0
+
+    @pytest.mark.parametrize(
+        "values, mask",
+        [
+            # one row per curve. In column 0, one ulp apart, the larger value
+            # on the lower curve index: the keys share their top bits and
+            # sort in index order
+            ([[np.nextafter(1.0, 2.0), 1.0], [1.0, 2.0]], [[1, 1], [1, 1]]),
+            # an observed DBL_MAX on a higher curve index than unobserved
+            # slots sorts among their padding
+            (
+                [[0.5, 1.0], [0.0, 2.0], [_DBL_MAX, 3.0], [0.0, 4.0]],
+                [[1, 1], [0, 1], [1, 1], [0, 1]],
+            ),
+        ],
+    )
+    def test_argsort_for_disordered_keys(self, values, mask):
+        values, mask = np.array(values, float), np.array(mask, bool)
+        sample = FunctionalSample(Grid.uniform(values.shape[1]), values, mask)
+        # one column per block too: there the DBL_MAX column keeps its first
+        # two keys only, which do not fall but end in padding
+        for block_cells in (1, poifd._BLOCK_CELLS):
+            with (
+                mock.patch.object(poifd, "_BLOCK_CELLS", block_cells),
+                mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
+            ):
+                _field_matches(sample)
+            assert argsort.call_count > 0
 
     def test_weighting_threads_keep_the_bytes(self):
         # 700 x 200 cells: over 2 * _BLOCK_CELLS, so both the field and the
