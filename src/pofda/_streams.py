@@ -10,7 +10,7 @@ the same object twice yields the same streams, as an int seed does.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -36,25 +36,23 @@ def seed_sequence(seed) -> SeedSequence:
 
     None (fresh OS entropy to numpy), bools and text are rejected at any
     depth of a sequence seed or of a SeedSequence's entropy, so every
-    draw repeats.
+    draw repeats: the seed's words are read once to check it.
     """
     given = isinstance(seed, SeedSequence)
-    if not _is_entropy(seed.entropy if given else seed):
-        raise ValueError(f"seed must be an int, a sequence of ints or a SeedSequence, got {seed!r}")
+    try:
+        _words(seed.entropy if given else seed)
+    except TypeError:
+        raise ValueError(
+            f"seed must be an int, a sequence of ints or a SeedSequence, got {seed!r}"
+        ) from None
     return seed if given else SeedSequence(seed)
 
 
-def _is_entropy(x) -> bool:
-    """An int other than a bool, or a sequence (nested or not) of such ints."""
-    if isinstance(x, (int, np.integer)):
-        return not isinstance(x, bool)
-    if isinstance(x, (str, bytes)) or not isinstance(x, Iterable):
-        return False
-    return all(_is_entropy(v) for v in x)
-
-
 def _words(x) -> list[int]:
-    """An int or nested int sequence as little-endian 32-bit words, as numpy reads seeds."""
+    """An int or nested int sequence as little-endian 32-bit words, as numpy
+    reads seeds; a bool, text or any other value at any depth is a TypeError."""
+    if isinstance(x, (bool, str, bytes)):
+        raise TypeError(f"not an int or a sequence of ints: {x!r}")
     if isinstance(x, (int, np.integer)):
         x = int(x)
         words = [x & _MASK32]

@@ -68,6 +68,7 @@ class Grid:
     @classmethod
     def uniform(cls, size: int) -> "Grid":
         """Equidistant grid with `size` points on [0, 1]."""
+        _check_integer("size", size)
         if size < 2:
             raise ValueError("grid needs at least two points")
         return cls(np.linspace(0.0, 1.0, size))

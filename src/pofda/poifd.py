@@ -163,7 +163,7 @@ def _depth_field(
     the padding, have misplaced the order, and `np.argsort` ranks the
     block. The rows are then reset to `fill` and the depths scattered
     back within them, on `workers` threads, the calling one and those of
-    `pool`.
+    `pool`; a block that no curve observes is only reset to `fill`.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
@@ -178,9 +178,6 @@ def _depth_field(
         cols = slice(start, start + width)
         block, count = field[cols], counts[cols]
         keep = int(count.max())
-        if keep == 0:  # no curve observes these columns
-            block.fill(fill)
-            return
         # the cut keeps the unobserved slots of the less observed columns
         observed = np.arange(keep) < count[:, None]
         np.add(values[:, cols].T, 0.0, out=block)
@@ -342,6 +339,10 @@ def poifd_all(
 ) -> DepthResult:
     """Integrated depth of every curve in the sample.
 
+    An unknown, negative or degenerate `phi` raises before the depth
+    field is ranked; a degenerate one names the lowest curve whose
+    observed points all weigh 0.
+
     Parameters
     ----------
     sample : FunctionalSample
@@ -351,6 +352,14 @@ def poifd_all(
     phi : str or callable
         Coverage-weight shaping function on [0, 1].
     """
+    point_weights = _phi_of_coverage(phi, sample.coverage)
+    positive = point_weights > 0.0
+    if not positive[sample.counts > 0].all():
+        bad = np.flatnonzero(~(sample.mask & positive).any(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"degenerate phi: weights of curve {bad[0]} sum to zero over its observed points"
+            )
     n, T = sample.values.shape
     # allocated before the field, so a caller that keeps the depths holds
     # no heap block above the field's and the next call can reuse its space
@@ -358,31 +367,21 @@ def poifd_all(
     workers = _workers(n, T)
     with _pool(workers) as pool:
         field = _depth_field(sample, kind, 0.0, workers, pool)
-        point_weights = _phi_of_coverage(phi, sample.coverage)
         # the weights are built in blocks of rows, as many times narrower
         # as there are threads, so the cells in flight stay at about
-        # _BLOCK_CELLS and no (n, T) weight matrix is held next to the
-        # field; a thread stops at its first curve whose weights sum to 0
+        # _BLOCK_CELLS and no (n, T) weight matrix is held next to the field
         rows = max(1, _BLOCK_CELLS // (T * workers))
 
-        def weigh_every(first: int) -> int:
+        def weigh_every(first: int) -> None:
             for start in range(first * rows, n, workers * rows):
                 block = slice(start, start + rows)
                 weights = np.where(sample.mask[block], point_weights, 0.0)
-                norms = weights.sum(axis=1)
-                if np.any(norms <= 0.0):
-                    return start + int(np.nonzero(norms <= 0.0)[0][0])
-                weights /= norms[:, None]
+                weights /= weights.sum(axis=1)[:, None]
                 # unobserved slots hold 0 in the field and weigh 0
                 weights *= field[block]
                 weights.sum(axis=1, out=out[block])
-            return n
 
-        bad = min(_share(weigh_every, workers, pool))
-    if bad < n:
-        raise ValueError(
-            f"degenerate phi: weights of curve {bad} sum to zero over its observed points"
-        )
+        _share(weigh_every, workers, pool)
     return DepthResult(out)
 
 

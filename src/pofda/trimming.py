@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, _check_real, _frozen
+from .core import FunctionalSample, _check_integer, _check_real, _frozen
 
 __all__ = [
     "TrimSpec",
@@ -32,6 +32,7 @@ _FLOOR_SNAP = 1e-9
 
 def resolved_keep_count(n: int, alpha: float) -> int:
     """Number of curves kept by an alpha-trim of an n-curve sample."""
+    _check_integer("n", n)
     if n < 1:
         raise ValueError("need at least one curve")
     _check_real("alpha", alpha)

@@ -34,6 +34,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array(points))
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, "4", None])
+    def test_uniform_rejects_a_non_integer_size(self, size):
+        with pytest.raises(ValueError, match=f"size must be an integer, got {size!r}"):
+            Grid.uniform(size)
+
     def test_points_immutable(self):
         g = Grid.uniform(4)
         with pytest.raises(ValueError):

@@ -180,20 +180,23 @@ class TestPoifd:
             poifd_all(s, phi=lambda q: np.zeros_like(q))
 
     def test_degenerate_phi_names_curve_in_later_row_block(self):
-        # 4 rows per weight block on one thread; curve 9, in the third
-        # block, observes only point 0, where the weight is 0. On 2 threads
-        # (n * T >= 2 * _BLOCK_CELLS) the blocks have 2 rows and alternate
-        # between the threads: curve 9 is the calling thread's and curve
-        # 7, made bad next, the pool thread's
+        # curve 9, in the third block of 4 weight rows, observes only
+        # point 0, where the weight is 0; curve 7 is made bad next. phi and
+        # its weights are checked before the field is ranked, so on 1 CPU
+        # or 2 no thread pool starts and `_depth_field` never runs, for an
+        # unknown or negative phi either
         n, T = 12, 5
         mask = np.ones((n, T), bool)
         mask[:, 0] = False
-        mask[9] = np.arange(T) == 0
         values = np.arange(n * T, dtype=float).reshape(n, T)
         phi = lambda q: np.where(q < 0.5, 0.0, q)  # noqa: E731
+        cases = []
         for bad, first in [([9], 9), ([7, 9], 7)]:
             mask[bad] = np.arange(T) == 0
             s = FunctionalSample(Grid.uniform(T), values, mask)
+            cases.append((s, phi, f"weights of curve {first} sum to zero"))
+        cases += [(s, "nope", "unknown phi"), (s, lambda q: q - 1.0, "nonnegative")]
+        for s, phi, match in cases:
             for cpus in (1, 2):
                 with (
                     mock.patch.object(poifd, "_BLOCK_CELLS", 4 * T),
@@ -201,10 +204,26 @@ class TestPoifd:
                     mock.patch.object(
                         poifd, "ThreadPoolExecutor", wraps=ThreadPoolExecutor
                     ) as pool,
-                    pytest.raises(ValueError, match=f"weights of curve {first} sum to zero"),
+                    mock.patch.object(poifd, "_depth_field", wraps=poifd._depth_field) as field,
+                    pytest.raises(ValueError, match=match),
                 ):
                     poifd_all(s, phi=phi)
-                assert pool.call_count == cpus - 1
+                assert pool.call_count == 0 and field.call_count == 0
+
+    def test_zero_weight_at_an_observed_point_is_no_error(self):
+        # point 0 weighs 0 and only curve 9 observes it, next to point 1:
+        # the depths are the weighted means over the other points
+        n, T = 12, 5
+        mask = np.ones((n, T), bool)
+        mask[:, 0] = False
+        mask[9, 0] = True
+        values = np.arange(n * T, dtype=float).reshape(n, T)
+        s = FunctionalSample(Grid.uniform(T), values, mask)
+        phi = lambda q: np.where(q < 0.5, 0.0, q)  # noqa: E731
+        field = pointwise_depth_field(s, "fm")
+        weights = phi(s.coverage)
+        expected = [np.average(field[i, s.mask[i]], weights=weights[s.mask[i]]) for i in range(n)]
+        np.testing.assert_allclose(poifd_all(s, phi=phi).poifd, expected, rtol=0, atol=1e-12)
 
     def test_negative_phi_rejected(self):
         s = constant_sample([1.0, 2.0])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,10 +109,37 @@ class TestSampleGp:
     def test_fully_observed_output(self, model):
         assert sample_gp(model, 3, seed=1).mask.all()
 
-    def test_near_singular_covariance_survives_jitter(self, grid):
-        # theta -> 0 makes the covariance nearly all ones (rank one)
-        model = GpModel(grid=grid, theta=1e-9)
-        assert np.isfinite(sample_gp(model, 2, seed=3).values).all()
+    def test_near_singular_covariance_survives_jitter(self):
+        # theta -> 0 makes the covariance nearly all ones (rank one): on 200
+        # points at theta = 1e-15 the plain factorization fails and a
+        # jittered one succeeds. No other test factors this (grid, theta)
+        # pair, so the factor cache cannot skip the retries
+        model = GpModel(grid=Grid.uniform(200), theta=1e-15)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model.covariance())
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+            values = sample_gp(model, 2, seed=3).values
+        assert cholesky.call_count > 1
+        assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("T, theta", [(200, 80.0), (1000, 10.0)])
+    def test_rows_follow_the_ou_recursion(self, T, theta):
+        # the exponential covariance is Markov (Ornstein-Uhlenbeck): each
+        # row minus the trend is the scalar recursion x_0 = z_0,
+        # x_k = s_k z_k + rho_k x_{k-1} on the curve's own normals z, with
+        # rho_k = 0.5 ** (theta * dt_k) and s_k = sqrt(1 - rho_k^2)
+        model = GpModel(grid=Grid.uniform(T), theta=theta)
+        n = 4
+        rows = sample_gp(model, n, seed=5).values - model.trend_values()
+        rho = 0.5 ** (theta * np.diff(model.grid.points))
+        scale = np.sqrt(1.0 - rho**2)
+        for row, child in zip(rows, SeedSequence(5).spawn(n)):
+            z = default_rng(child).standard_normal(T)
+            x = np.empty(T)
+            x[0] = z[0]
+            for k in range(1, T):
+                x[k] = scale[k - 1] * z[k] + rho[k - 1] * x[k - 1]
+            np.testing.assert_allclose(row, x, rtol=0, atol=1e-12)
 
     def test_mean_close_to_trend(self, model):
         X = sample_gp(model, 2000, seed=11).values

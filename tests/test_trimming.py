@@ -76,6 +76,11 @@ class TestSelectTrim:
                 expected = n - math.floor(Fraction(tenth, 10) * n)
                 assert resolved_keep_count(n, alpha) == expected, (n, alpha)
 
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, "5", None])
+    def test_keep_count_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            resolved_keep_count(n, 0.2)
+
 
 class TestTrimSpec:
     @pytest.mark.parametrize(
