@@ -50,8 +50,9 @@ def seed_sequence(seed) -> SeedSequence:
 
 def _words(x) -> list[int]:
     """An int or nested int sequence as little-endian 32-bit words, as numpy
-    reads seeds; a bool, text or any other value at any depth is a TypeError."""
-    if isinstance(x, (bool, str, bytes)):
+    reads seeds; a bool, text, bytes or any other value at any depth is a
+    TypeError (iterating a bytearray or memoryview yields ints)."""
+    if isinstance(x, (bool, str, bytes, bytearray, memoryview)):
         raise TypeError(f"not an int or a sequence of ints: {x!r}")
     if isinstance(x, (int, np.integer)):
         x = int(x)

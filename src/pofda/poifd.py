@@ -71,10 +71,17 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
 # so its temporaries stay small however large n is. A sample of at
 # least 2 * _BLOCK_CELLS cells is ranked on up to one thread per CPU the
 # process may run on, in blocks that many times narrower, so the cells
-# in flight across all threads stay at _BLOCK_CELLS. Each block writes
-# only its own rows of the grid-column-major field, so the bytes do not
-# depend on the thread count; `taskset` pins the process to fewer CPUs.
+# in flight across all threads stay at _BLOCK_CELLS, but no block is
+# narrower than _MIN_WIDTH columns, so at large n each thread holds
+# _MIN_WIDTH * n cells. Each block writes only its own rows of the
+# grid-column-major field, so the bytes depend on neither the thread
+# count nor the width; `taskset` pins the process to fewer CPUs.
 _BLOCK_CELLS = 1 << 16
+
+# Least number of grid columns per depth-field block: the float64 values
+# in one 64-byte cache line, so a block's gather from each (row-major)
+# value row uses the whole of each line it loads.
+_MIN_WIDTH = 8
 
 # Padding of the unobserved slots in a depth-field block's sort keys;
 # unlike +inf, it stays finite whatever its low bits hold.
@@ -91,8 +98,8 @@ def _cpu_count() -> int:
 
 def _workers(n: int, T: int) -> int:
     """Threads that build and weigh the depth field of an (n, T) sample:
-    up to one per CPU, and at least one grid column each, for samples of
-    at least 2 * _BLOCK_CELLS cells; one for smaller samples."""
+    up to one per CPU and no more than T, for samples of at least
+    2 * _BLOCK_CELLS cells; one for smaller samples."""
     return min(_cpu_count(), T) if n * T >= 2 * _BLOCK_CELLS else 1
 
 
@@ -163,7 +170,8 @@ def _depth_field(
     the padding, have misplaced the order, and `np.argsort` ranks the
     block. The rows are then reset to `fill` and the depths scattered
     back within them, on `workers` threads, the calling one and those of
-    `pool`; a block that no curve observes is only reset to `fill`.
+    `pool`, which take blocks of at least _MIN_WIDTH columns in turn; a
+    block that no curve observes is only reset to `fill`.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
@@ -171,7 +179,7 @@ def _depth_field(
     field = np.empty((T, n))
     # k = 1 in a column no curve observes only keeps the division defined
     k = np.maximum(counts, 1)
-    width = max(1, _BLOCK_CELLS // (n * workers))
+    width = max(_MIN_WIDTH, _BLOCK_CELLS // (n * workers))
     low = (1 << (n - 1).bit_length()) - 1
 
     def rank(start: int) -> None:
@@ -368,8 +376,9 @@ def poifd_all(
     with _pool(workers) as pool:
         field = _depth_field(sample, kind, 0.0, workers, pool)
         # the weights are built in blocks of rows, as many times narrower
-        # as there are threads, so the cells in flight stay at about
-        # _BLOCK_CELLS and no (n, T) weight matrix is held next to the field
+        # as there are threads and with no least width, so the cells in
+        # flight stay at about _BLOCK_CELLS and no (n, T) weight matrix is
+        # held next to the field
         rows = max(1, _BLOCK_CELLS // (T * workers))
 
         def weigh_every(first: int) -> None:

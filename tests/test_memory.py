@@ -4,6 +4,10 @@ tracemalloc counts numpy's data allocations exactly, so a stage's traced
 peak above its start says how many full-size temporaries it holds. The
 sample is large enough that the depth field's block temporaries, about
 _BLOCK_CELLS cells across all threads, are small next to one matrix.
+Here each block is 8 columns wide on 2 CPUs (16 on one), so the least
+block width of 8 columns (about 8 * n cells per thread) does not bind;
+at n = 10^4, T = 200 it does, and CI holds the poifd_all peak there,
+printed by scripts/bench_depth_kernels.py, to the same bound.
 """
 
 import tracemalloc

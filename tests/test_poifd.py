@@ -316,14 +316,15 @@ def _integer_case(values, mask, gap, query_values, query_mask):
     """Sample and query curve on a uniform grid from raw value/mask arrays.
 
     Column `gap`, if given, is observed by no curve; a curve left with no
-    observed point is observed at the next column instead. The query is
-    observed at the first column the sample observes.
+    observed point is observed at the next column instead (the first,
+    after the last). The query is observed at the first column the sample
+    observes.
     """
     values = np.asarray(values, dtype=float)
     mask = np.array(mask, dtype=bool)
     if gap is not None:
         mask[:, gap] = False
-    mask[~mask.any(axis=1), (gap or 0) + 1] = True
+    mask[~mask.any(axis=1), ((gap or 0) + 1) % mask.shape[1]] = True
     grid = Grid.uniform(values.shape[1])
     sample = build_sample(grid, [PartialCurve(v, m) for v, m in zip(values, mask)])
     query_mask = np.array(query_mask, dtype=bool)
@@ -333,9 +334,10 @@ def _integer_case(values, mask, gap, query_values, query_mask):
 
 @st.composite
 def _tied_cases(draw):
-    """Small integer values, so ties are frequent, with random masks."""
+    """Small integer values, so ties are frequent, with random masks. T
+    reaches past two blocks of the least width, with remainder blocks."""
     n = draw(st.integers(1, 7))
-    T = draw(st.integers(2, 9))
+    T = draw(st.integers(2, 20))
 
     def matrix(elements, shape):
         size = int(np.prod(shape))
@@ -344,7 +346,7 @@ def _tied_cases(draw):
     return _integer_case(
         matrix(st.integers(0, 3), (n, T)),
         matrix(st.booleans(), (n, T)),
-        draw(st.none() | st.integers(0, T - 2)),
+        draw(st.none() | st.integers(0, T - 1)),
         matrix(st.integers(0, 3), (T,)),
         matrix(st.booleans(), (T,)),
     )
@@ -385,9 +387,9 @@ _NEAR_POOLS = [
 def _near_tie_cases(draw):
     """Samples of near-tied floats under random masks, n on both sides of
     the widths of the curve index packed into the sort keys (0, 1, 2, 6,
-    7 and 8 bits)."""
+    7 and 8 bits), and T past two blocks of the least width."""
     n = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 127, 128, 129]))
-    T = draw(st.integers(2, 5))
+    T = draw(st.integers(2, 20))
     pool = draw(st.sampled_from(_NEAR_POOLS))
     values = draw(hnp.arrays(float, (n, T), elements=st.sampled_from(pool)))
     p_obs = draw(st.sampled_from([1.0, 0.6, 0.2]))
@@ -415,9 +417,10 @@ class TestRankKernel:
         "n, T, gap",
         [
             (1, 5, None),  # a single curve
-            # a column no curve observes; with 16-cell blocks on 4 CPUs
-            # it is a block of its own
-            (6, 8, 3),
+            (6, 8, 3),  # a column no curve observes, within a block
+            # the last column, which no curve observes, is a block of its
+            # own after two blocks of the least width
+            (6, 17, 16),
             (33, 2000, 7),  # wider than one column block at n = 33
         ],
     )
@@ -431,16 +434,16 @@ class TestRankKernel:
 
     @pytest.mark.parametrize("block_cells", [1, 16, poifd._BLOCK_CELLS])
     def test_group_scan_only_for_blocks_with_a_tie(self, block_cells):
-        # columns 0-5 hold distinct floats, columns 6-11 integers 0..2,
+        # columns 0-7 hold distinct floats, columns 8-15 integers 0..2,
         # which tie; half the curves miss every third column, so the sort
-        # rows of those columns end in equal +inf padding
-        n, T = 8, 12
+        # rows of those columns end in equal padding
+        n, T = 8, 16
         rng = np.random.default_rng(12)
-        values = np.hstack([rng.normal(size=(n, 6)), rng.integers(0, 3, size=(n, 6))])
+        values = np.hstack([rng.normal(size=(n, 8)), rng.integers(0, 3, size=(n, 8))])
         mask = np.ones((n, T), bool)
         mask[: n // 2, ::3] = False
         query = rng.normal(size=T), rng.random(T) < 0.7
-        tie_free = _integer_case(values[:, :6], mask[:, :6], None, query[0][:6], query[1][:6])
+        tie_free = _integer_case(values[:, :8], mask[:, :8], None, query[0][:8], query[1][:8])
         mixed = _integer_case(values, mask, None, *query)
         with (
             mock.patch.object(poifd, "_BLOCK_CELLS", block_cells),
@@ -451,16 +454,16 @@ class TestRankKernel:
             assert scan.call_count == 0
             _check_against_reference(*mixed)
             assert scan.call_count > 0
-            if block_cells == 1:
-                # one column per block: only the integer columns scan
+            if block_cells < poifd._BLOCK_CELLS:
+                # two blocks of the least width: only the integer one scans
                 calls = scan.call_count
                 pointwise_depth_field(mixed[0], "tukey")
-                assert scan.call_count - calls == 6
+                assert scan.call_count - calls == 1
 
     @given(
         sample=_near_tie_cases(),
         block_cells=st.sampled_from([1, 16, poifd._BLOCK_CELLS]),
-        cpus=st.sampled_from([1, 2]),
+        cpus=st.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=80, deadline=None)
     def test_near_ties_match_per_column_sort(self, sample, block_cells, cpus):
@@ -504,13 +507,18 @@ class TestRankKernel:
                 [[0.5, 1.0], [0.0, 2.0], [_DBL_MAX, 3.0], [0.0, 4.0]],
                 [[1, 1], [0, 1], [1, 1], [0, 1]],
             ),
+            # the same, where every column has 2 observed values, so the
+            # DBL_MAX column keeps its first two keys only: its values do
+            # not fall, but its last observed slot is padding
+            (
+                [[0.5, 1.0, 0.0], [0.0, 2.0, 5.0], [_DBL_MAX, 3.0, 0.0], [0.0, 4.0, 6.0]],
+                [[1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1]],
+            ),
         ],
     )
     def test_argsort_for_disordered_keys(self, values, mask):
         values, mask = np.array(values, float), np.array(mask, bool)
         sample = FunctionalSample(Grid.uniform(values.shape[1]), values, mask)
-        # one column per block too: there the DBL_MAX column keeps its first
-        # two keys only, which do not fall but end in padding
         for block_cells in (1, poifd._BLOCK_CELLS):
             with (
                 mock.patch.object(poifd, "_BLOCK_CELLS", block_cells),

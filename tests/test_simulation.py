@@ -372,11 +372,16 @@ class TestSimulateSampleSeeds:
         pytest.param([0, [False]], id="deep_bool"),
         pytest.param((1, "2"), id="nested_str"),
         pytest.param(SeedSequence((1, "2")), id="sequence_entropy_str"),
+        pytest.param(bytearray(b"ab"), id="bytearray"),
+        pytest.param(memoryview(b"ab"), id="memoryview"),
+        pytest.param([bytearray(b"a")], id="nested_bytearray"),
+        pytest.param((1, [memoryview(b"a")]), id="deep_memoryview"),
     ],
 )
 def test_every_stage_requires_a_repeatable_seed(model, grid, seed):
     # None would draw fresh OS entropy on every call, a bool is no seed,
-    # and numpy would parse text as an int: at any depth of a sequence.
+    # numpy would parse text as an int, and bytes are no ints though a
+    # bytearray or memoryview yields them: at any depth of a sequence.
     # Every kind reads the seed, also those that draw nothing.
     full = sample_gp(model, 3, seed=1)
     with pytest.raises(ValueError, match="seed must be"):
