@@ -83,9 +83,10 @@ _BLOCK_CELLS = 1 << 16
 # value row uses the whole of each line it loads.
 _MIN_WIDTH = 8
 
-# Padding of the unobserved slots in a depth-field block's sort keys;
-# unlike +inf, it stays finite whatever its low bits hold.
-_DBL_MAX = np.finfo(np.float64).max
+# Bit pattern of the largest finite float64, DBL_MAX. The padding key of
+# a depth-field block carries its top bits, so it sorts after every
+# observed key, DBL_MAX included.
+_DBL_MAX_BITS = int(np.array(np.finfo(np.float64).max).view(np.int64))
 
 
 def _cpu_count() -> int:
@@ -142,45 +143,58 @@ def _depth_field(
     sample: FunctionalSample, kind: DepthKind, fill: float, workers: int, pool
 ) -> np.ndarray:
     """Per-curve per-point sample depths, `fill` where a curve is unobserved,
-    as the F-ordered (n, T) view of a C-ordered (T, n) array; its
-    `.tobytes()` is the field's C-order bytes.
+    as the (n, T) transposed view of the first n columns of a C-ordered
+    (T, n + 1) array; its `.tobytes()` is the field's C-order bytes.
 
-    The field is built grid-column-major, one row per grid column, so each
-    block of columns is ranked within its own contiguous rows. The block
-    is gathered into them plus 0.0, so -0.0 and +0.0 are one value, with
-    DBL_MAX in the unobserved slots (`values` holds NaN exactly there,
-    and fmin(NaN, DBL_MAX) is DBL_MAX; low bits set on +inf would make a
-    NaN). Each entry then becomes a sort key: the low b = bit_length(n -
-    1) bits of its float64 pattern are replaced by its curve index. The
-    keys are finite and distinct, so one in-place float sort per row
-    orders them, and their low bits give the sort order. Keys whose top
-    64 - b bits differ sort as their values do, since those bits are
-    the values' own and float64 patterns order as their values within a
-    sign (in reverse for negatives). So a column whose first
-    min(keep + 1, n) sorted keys have no adjacent pair sharing their top
-    bits, bar pairs of padding, holds its observed values first and
-    strictly ascending (equal padding is no tie), with `keep` the block's
-    largest column count; there the j-th smallest has #<= v = j + 1 and
-    #< v = j. Any other block is gathered again, with +inf in the
-    unobserved slots, and its values read in key order. If they never
-    fall and no column's last observed slot is padding, the order holds,
-    and the depth is taken once per tie group of `_tied_counts`.
-    Otherwise values within 2^-(52 - b) of each other, in index order
-    against value order, or an observed value near DBL_MAX placed among
-    the padding, have misplaced the order, and `np.argsort` ranks the
-    block. The rows are then reset to `fill` and the depths scattered
-    back within them, on `workers` threads, the calling one and those of
-    `pool`, which take blocks of at least _MIN_WIDTH columns in turn; a
-    block that no curve observes is only reset to `fill`.
+    The field is built grid-column-major, one row per grid column plus a
+    spare slot, preset to NaN, so each block of columns is ranked within
+    its own contiguous rows. The block is gathered into the first n
+    slots and 0.0 added to it, so -0.0 and +0.0 are one value; `values`
+    holds canonical +NaN exactly in the unobserved slots. Each entry
+    then becomes a sort key: the low b = bit_length(n) bits of its
+    float64 pattern are replaced by its curve index, n in the spare. A
+    NaN stays a NaN, since its quiet bit lies above those bits, and fmin
+    with `pad`, DBL_MAX's top bits over n, turns every NaN into `pad`.
+    So every unobserved slot and the spare hold one key, which sorts
+    after every observed key, DBL_MAX included, and the observed keys
+    are finite and distinct: one in-place float sort per row puts each
+    column's observed entries first, and their low bits give the sort
+    order, with every padding entry pointing at the spare.
+
+    Keys whose top 64 - b bits differ sort as their values do, since
+    those bits are the values' own and float64 patterns order as their
+    values within a sign (in reverse for negatives). So a column whose
+    adjacent observed keys never share their top bits holds its observed
+    values strictly ascending, and the j-th smallest has #<= v = j + 1
+    and #< v = j. Any other block is gathered again, with +inf in the
+    unobserved slots and the spare, and its first `keep` entries, the
+    block's largest column count, read in key order. If they never fall
+    the order holds, and the depth is taken once per tie group of
+    `_tied_counts`. Otherwise values within 2^-(52 - b) of each other,
+    in index order against value order, have misplaced the order, and
+    `np.argsort` ranks the block, its padding entries pointed at the
+    spare too.
+
+    The rows are then reset to `fill` and the depths scattered back
+    within them; what the padding entries hold lands in the spare, which
+    is not part of the field. The blocks, at least _MIN_WIDTH columns
+    wide, are taken in turn by `workers` threads, the calling one and
+    those of `pool`; a block that no curve observes is only reset to
+    `fill`.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
     n, T = values.shape
-    field = np.empty((T, n))
-    # k = 1 in a column no curve observes only keeps the division defined
-    k = np.maximum(counts, 1)
+    field = np.empty((T, n + 1))
+    field[:, n] = np.nan
+    # k = 1 in a column no curve observes only keeps the division defined.
+    # Float counts give the integer counts' bytes: every intermediate of
+    # `depth_from_counts` is an integer below 2^53 for n < 2^26
+    k = np.maximum(counts, 1.0)
     width = max(_MIN_WIDTH, _BLOCK_CELLS // (n * workers))
-    low = (1 << (n - 1).bit_length()) - 1
+    low = (1 << n.bit_length()) - 1
+    pad = np.array(_DBL_MAX_BITS & ~low | n).view(np.float64)
+    index = np.arange(n + 1)
 
     def rank(start: int) -> None:
         cols = slice(start, start + width)
@@ -188,32 +202,35 @@ def _depth_field(
         keep = int(count.max())
         # the cut keeps the unobserved slots of the less observed columns
         observed = np.arange(keep) < count[:, None]
-        np.add(values[:, cols].T, 0.0, out=block)
-        np.fmin(block, _DBL_MAX, out=block)
+        block[:, :n] = values[:, cols].T
+        block += 0.0
         bits = block.view(np.int64)
         bits &= ~low
-        bits |= np.arange(n)
+        bits |= index
+        np.fmin(block, pad, out=block)
         block.sort(axis=1)
         # flat index into `block` of each kept entry, in sorted order
-        offsets = np.arange(0, block.size, n)[:, None]
+        offsets = np.arange(0, block.size, n + 1)[:, None]
         order = bits[:, :keep] & low
         order += offsets
-        # adjacent keys sharing their top bits, unless both are padding
-        bits &= ~low
-        span = min(keep + 1, n)
-        near = bits[:, 1:span] == bits[:, : span - 1]
-        near &= observed[:, : span - 1]
+        # adjacent observed keys sharing their top bits
+        kept = bits[:, :keep]
+        kept &= ~low
+        near = kept[:, 1:] == kept[:, :-1]
+        near &= observed[:, 1:]
         if not near.any():
-            depth = depth_from_counts(kind, np.arange(1, keep + 1), np.arange(keep), k[cols, None])
+            depth = depth_from_counts(
+                kind, np.arange(1.0, keep + 1), np.arange(0.0, keep), k[cols, None]
+            )
         else:
-            # the exact values in key order fall, or a column's observed
-            # slots end in padding, only where near-ties misplaced them
-            np.fmin(values[:, cols].T, np.inf, out=block)
+            # the exact values in key order fall only where near-ties
+            # misplaced them
+            np.fmin(values[:, cols].T, np.inf, out=block[:, :n])
+            block[:, n] = np.inf
             ranked = block.reshape(-1)[order]
-            seen = np.flatnonzero(count)
-            last = ranked[seen, count[seen] - 1]
-            if (ranked[:, 1:] < ranked[:, :-1]).any() or np.isinf(last).any():
+            if (ranked[:, 1:] < ranked[:, :-1]).any():
                 order = np.argsort(block, axis=1)[:, :keep]
+                np.copyto(order, n, where=~observed)
                 order += offsets
                 ranked = block.reshape(-1)[order]
             *groups, sizes = _tied_counts(ranked, k[cols])
@@ -221,7 +238,6 @@ def _depth_field(
             # stays resident in its own malloc arena
             del ranked
             depth = np.repeat(depth_from_counts(kind, *groups), sizes).reshape(-1, keep)
-        np.copyto(depth, fill, where=~observed)
         block.fill(fill)
         block.reshape(-1)[order] = depth
 
@@ -230,7 +246,7 @@ def _depth_field(
             rank(start)
 
     _share(rank_every, workers, pool)
-    return field.T
+    return field[:, :n].T
 
 
 def _count_columns(hits: np.ndarray) -> np.ndarray:
@@ -311,15 +327,18 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
 
     Each curve's own value participates in the pointwise empirical
     distribution it is evaluated against (plug-in convention). The
-    field is ranked in grid-column-major rows, one per grid column, and
-    returned as their F-ordered (n, T) view: `.tobytes()` gives the same
-    C-order bytes as a C-ordered field would. Each block of columns is
-    ordered by one float sort of keys that carry their curve index in
-    their low bits; where no two kept keys of a column share their top
-    bits, the order is exact and tie-free. Only other blocks re-read
-    their values in that order, and take the depth once per tie group,
-    or rank by `np.argsort` where near-ties have misplaced it. The depths
-    are scattered within the column's own row.
+    field is ranked in grid-column-major rows, one per grid column plus
+    a spare slot, and returned as the (n, T) transposed view of their
+    first n slots. That view is neither C- nor F-contiguous, but
+    `.tobytes()` gives the same C-order bytes as a C-ordered field
+    would. Each block of columns is ordered by one float sort of keys
+    that carry their curve index in their low bits; every unobserved
+    slot holds one padding key, which sorts after every observed key.
+    Where no two observed keys of a column share their top bits, the
+    order is exact and tie-free. Only other blocks re-read their values
+    in that order, and take the depth once per tie group, or rank by
+    `np.argsort` where near-ties have misplaced it. The depths are
+    scattered within the column's own row.
     """
     n, T = sample.values.shape
     workers = _workers(n, T)
@@ -384,7 +403,7 @@ def poifd_all(
         def weigh_every(first: int) -> None:
             for start in range(first * rows, n, workers * rows):
                 block = slice(start, start + rows)
-                weights = np.where(sample.mask[block], point_weights, 0.0)
+                weights = np.multiply(sample.mask[block], point_weights)
                 weights /= weights.sum(axis=1)[:, None]
                 # unobserved slots hold 0 in the field and weigh 0
                 weights *= field[block]

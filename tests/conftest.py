@@ -49,6 +49,16 @@ def random_masked_sample(rng, n, T, p_missing=0.4):
     return build_sample(grid, curves)
 
 
+def odd_nans(size):
+    """`size` NaNs cycling through -NaN and NaNs with low payload bits,
+    quiet and signalling, of either sign: none is +NaN's one pattern."""
+    patterns = np.array(
+        [0xFFF8000000000000, 0x7FF8000000000001, 0xFFF8000000000003,
+         0x7FF0000000000001, 0xFFF0000000000001], np.uint64
+    )
+    return np.resize(patterns, size).view(np.float64)
+
+
 def numpy_streams(seed, n):
     """Generator(PCG64(child)) for numpy's own spawned children of the seed."""
     return [Generator(PCG64(child)) for child in SeedSequence(seed).spawn(n)]

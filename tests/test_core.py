@@ -10,7 +10,7 @@ from pofda.core import (
     build_sample,
 )
 
-from conftest import query_counts, random_masked_sample
+from conftest import odd_nans, query_counts, random_masked_sample
 
 
 class TestGrid:
@@ -131,6 +131,21 @@ class TestBuildSample:
         assert np.isnan(s.values[~s.mask]).all()
         for arr in (s.values, s.mask):
             assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_unobserved_slots_hold_canonical_nan(self):
+        # -NaN and NaNs with low payload bits, quiet and signalling, in the
+        # unobserved slots: both constructors store +NaN's one bit pattern
+        # there, which the depth field's padding keys are built from
+        values = np.vstack([odd_nans(5), np.arange(5.0)])
+        mask = np.array([[1, 0, 0, 0, 0], [1, 1, 1, 1, 1]], bool)
+        values[0, 0] = 7.0
+        for s in (
+            FunctionalSample(Grid.uniform(5), values, mask),
+            FunctionalSample._adopt(Grid.uniform(5), values.copy(), mask),
+        ):
+            bits = s.values.view(np.uint64)
+            assert (bits[~mask] == 0x7FF8000000000000).all()
+            np.testing.assert_array_equal(s.values[mask], [7.0, 0.0, 1.0, 2.0, 3.0, 4.0])
 
     def test_arrays_immutable(self, rng):
         s = random_masked_sample(rng, 3, 4)

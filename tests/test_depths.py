@@ -137,3 +137,28 @@ def test_max_over_sample_attained_at_a_median():
                 assert any(
                     depth_oracle(kind, vals, float(m)) == best for m in medians
                 ), (kind, vals)
+
+
+def _same_bytes_from_float_counts(c_le, c_lt, k):
+    for kind in DepthKind:
+        want = depth_from_counts(kind, c_le, c_lt, k)
+        got = depth_from_counts(kind, *(np.asarray(c, float) for c in (c_le, c_lt, k)))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), kind
+
+
+def test_float_counts_give_the_integer_bytes_up_to_300():
+    # every 0 <= c_lt <= c_le <= k for each 1 <= k <= 300: the pairs of
+    # tril_indices run through c_le in ascending order
+    c_le, c_lt = np.tril_indices(301)
+    for k in range(1, 301):
+        pairs = (k + 1) * (k + 2) // 2
+        _same_bytes_from_float_counts(c_le[:pairs], c_lt[:pairs], np.full(pairs, k))
+
+
+def test_float_counts_give_the_integer_bytes_near_a_million():
+    rng = np.random.default_rng(6)
+    k = rng.integers(10**6 - 1000, 10**6 + 1000, size=200_000)
+    c_le = rng.integers(0, k + 1)
+    c_lt = rng.integers(0, c_le + 1)
+    _same_bytes_from_float_counts(c_le, c_lt, k)

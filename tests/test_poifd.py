@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -24,6 +25,7 @@ from pofda.poifd import (
 from conftest import (
     constant_sample,
     depth_oracle,
+    odd_nans,
     query_counts,
     random_masked_sample,
     sorted_counts,
@@ -406,6 +408,20 @@ def _field_matches(sample, cpus=(1, 2)):
                 assert pointwise_depth_field(sample, kind).tobytes() == want
 
 
+# the least, a small and the default cell budget of a depth-field block
+_BLOCK_BUDGETS = (1, 16, 1 << 16)
+
+
+def _never_argsorted(sample):
+    """The field matches the reference on 1 and 2 CPUs at every block
+    budget, and no block falls back to `np.argsort`."""
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        for block_cells in _BLOCK_BUDGETS:
+            with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+                _field_matches(sample)
+    assert argsort.call_count == 0
+
+
 class TestRankKernel:
     @given(case=_tied_cases(), block_cells=st.sampled_from([1, 4, 16, poifd._BLOCK_CELLS]))
     @settings(max_examples=80, deadline=None)
@@ -501,31 +517,77 @@ class TestRankKernel:
             # on the lower curve index: the keys share their top bits and
             # sort in index order
             ([[np.nextafter(1.0, 2.0), 1.0], [1.0, 2.0]], [[1, 1], [1, 1]]),
-            # an observed DBL_MAX on a higher curve index than unobserved
-            # slots sorts among their padding
-            (
-                [[0.5, 1.0], [0.0, 2.0], [_DBL_MAX, 3.0], [0.0, 4.0]],
-                [[1, 1], [0, 1], [1, 1], [0, 1]],
-            ),
-            # the same, where every column has 2 observed values, so the
-            # DBL_MAX column keeps its first two keys only: its values do
-            # not fall, but its last observed slot is padding
-            (
-                [[0.5, 1.0, 0.0], [0.0, 2.0, 5.0], [_DBL_MAX, 3.0, 0.0], [0.0, 4.0, 6.0]],
-                [[1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1]],
+            # the same beside an unobserved slot that the block keeps: the
+            # argsort's padding entry still points at the spare slot
+            pytest.param(
+                [[np.nextafter(1.0, 2.0), 1.0], [1.0, 2.0], [0.0, 3.0]],
+                [[1, 1], [1, 1], [0, 1]],
+                id="beside-padding",
             ),
         ],
     )
     def test_argsort_for_disordered_keys(self, values, mask):
         values, mask = np.array(values, float), np.array(mask, bool)
         sample = FunctionalSample(Grid.uniform(values.shape[1]), values, mask)
-        for block_cells in (1, poifd._BLOCK_CELLS):
+        for block_cells, cpus in itertools.product(_BLOCK_BUDGETS, (1, 2)):
             with (
                 mock.patch.object(poifd, "_BLOCK_CELLS", block_cells),
                 mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
             ):
-                _field_matches(sample)
+                _field_matches(sample, (cpus,))
             assert argsort.call_count > 0
+
+    @pytest.mark.parametrize(
+        "values, mask",
+        [
+            # one row per curve. An observed DBL_MAX on a higher curve index
+            # than unobserved slots
+            (
+                [[0.5, 1.0], [0.0, 2.0], [_DBL_MAX, 3.0], [0.0, 4.0]],
+                [[1, 1], [0, 1], [1, 1], [0, 1]],
+            ),
+            # the same, where every column has 2 observed values, so the
+            # DBL_MAX column keeps its first two keys only
+            (
+                [[0.5, 1.0, 0.0], [0.0, 2.0, 5.0], [_DBL_MAX, 3.0, 0.0], [0.0, 4.0, 6.0]],
+                [[1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1]],
+            ),
+        ],
+    )
+    def test_observed_dbl_max_sorts_ahead_of_padding(self, values, mask):
+        values, mask = np.array(values, float), np.array(mask, bool)
+        _never_argsorted(FunctionalSample(Grid.uniform(values.shape[1]), values, mask))
+
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_top_of_range_at_a_power_of_two_n(self, n):
+        # n = 2^j packs one more index bit than n - 1 does, so that the
+        # padding index n fits. Column 0 holds DBL_MAX on the last curve and
+        # the float below it on curve 0, with curves 1 to n - 3 unobserved
+        # there; no curve observes column 1, and every curve column 2
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, 3))
+        values[-1, 0], values[0, 0] = _DBL_MAX, np.nextafter(_DBL_MAX, 0.0)
+        mask = np.ones((n, 3), bool)
+        mask[1 : n - 2, 0] = False
+        mask[:, 1] = False
+        _never_argsorted(FunctionalSample(Grid.uniform(3), values, mask))
+
+    def test_nan_bits_of_the_input_do_not_reach_the_field(self):
+        # -NaN and NaNs with low-bit payloads in the unobserved slots; the
+        # sample stores canonical +NaN there, whose bits the padding reads
+        rng = np.random.default_rng(5)
+        n, T = 40, 9
+        mask = rng.random((n, T)) < 0.6
+        mask[:, 0] = True
+        values = rng.normal(size=(n, T))
+        values[~mask] = odd_nans(int((~mask).sum()))
+        for sample in (
+            FunctionalSample(Grid.uniform(T), values, mask),
+            FunctionalSample._adopt(Grid.uniform(T), values.copy(), mask),
+        ):
+            for block_cells in _BLOCK_BUDGETS:
+                with mock.patch.object(poifd, "_BLOCK_CELLS", block_cells):
+                    _field_matches(sample)
 
     def test_weighting_threads_keep_the_bytes(self):
         # 700 x 200 cells: over 2 * _BLOCK_CELLS, so both the field and the
