@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import Grid, PartialCurve, _check_integer
+from .core import FunctionalSample, Grid, PartialCurve, _check_integer
 from .depths import DepthKind, depth_from_counts
 from .poifd import PhiLike, _phi_of_coverage, _weight_norm, poifd_of
 from .simulate import (
@@ -26,8 +26,7 @@ from .simulate import (
     ObservationKind,
     ObservationSpec,
     _draw_masks,
-    observe,
-    sample_gp,
+    _gp_values,
     seed_sequence,
 )
 
@@ -229,7 +228,10 @@ def convergence_probe(
     """Sup over probes of |sample depth - population depth| per sample size.
 
     For each n a fresh sample is drawn from the model and masked by the
-    observation mechanism; seeds are keyed to (seed, n) so the returned
+    observation mechanism: the bytes of `observe` applied to `sample_gp`,
+    drawn into one value matrix and one mask with no all-True mask
+    between them (the sample's row views are built when read, and the
+    probe reads none). Seeds are keyed to (seed, n) so the returned
     table does not depend on the order of `sizes`. The seed (an int), the
     sizes and the probes (at least one, each one value per grid point)
     are checked before any sample is drawn.
@@ -252,7 +254,10 @@ def convergence_probe(
     out: dict[int, float] = {}
     # each distinct size once, in order of first appearance
     for n in dict.fromkeys(int(n) for n in sizes):
-        sample = observe(grid, sample_gp(model, n, (seed, n, 0)), observation, (seed, n, 1))
+        values = _gp_values(model, n, (seed, n, 0))
+        within = np.broadcast_to(True, values.shape)
+        mask = _draw_masks(grid.points, observation, (seed, n, 1), within)
+        sample = FunctionalSample._adopt(grid, values, mask)
         emp = np.array([poifd_of(sample, x, kind, phi) for x in probes])
         out[n] = float(np.max(np.abs(emp - pop)))
     return out

@@ -10,10 +10,11 @@ single-curve type: a query curve, or one row of a sample.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,6 +124,28 @@ class PartialCurve:
         return curve
 
 
+class _RowViews(Sequence):
+    """The rows of a sample's two matrices as PartialCurve views, built when read."""
+
+    __slots__ = ("_values", "_mask")
+
+    def __init__(self, values: np.ndarray, mask: np.ndarray) -> None:
+        self._values = values
+        self._mask = mask
+
+    def __len__(self) -> int:
+        return self._values.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(PartialCurve._row_view, self._values[i], self._mask[i]))
+        i = operator.index(i)
+        return PartialCurve._row_view(self._values[i], self._mask[i])
+
+    def __iter__(self):
+        return map(PartialCurve._row_view, self._values, self._mask)
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """n partial curves sharing a grid, with derived per-point coverage.
@@ -196,11 +219,10 @@ class FunctionalSample:
         return int(self.values.shape[0])
 
     @cached_property
-    def curves(self) -> tuple[PartialCurve, ...]:
-        """Per-curve read-only views of the rows of `values` and `mask`."""
-        return tuple(
-            PartialCurve._row_view(v, m) for v, m in zip(self.values, self.mask)
-        )
+    def curves(self) -> Sequence[PartialCurve]:
+        """Per-curve read-only views of the rows of `values` and `mask`,
+        each built when read; a slice is a tuple of them."""
+        return _RowViews(self.values, self.mask)
 
 
 def build_sample(grid: Grid, curves: Sequence[PartialCurve]) -> FunctionalSample:

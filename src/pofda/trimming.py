@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FunctionalSample, _check_integer, _check_real, _frozen
+from .poifd import _count_columns
 
 __all__ = [
     "TrimSpec",
@@ -100,14 +101,18 @@ def select_trim(depths, alpha: float) -> TrimSpec:
     return TrimSpec(alpha=float(alpha), beta=beta, kept=kept)
 
 
-def _pointwise_mean(values: np.ndarray, where: np.ndarray, counts: np.ndarray):
-    """Per-point mean of the `where` entries of `values`, given their
-    per-point `counts`, and where it is defined.
+def _pointwise_mean(values: np.ndarray, where: np.ndarray, counts: np.ndarray | None):
+    """Per-point mean of the `where` entries of `values`, and where it is defined.
 
-    The masked reduction adds the rows in order from +0.0, so it gives
-    the bytes of np.where(where, values, 0).sum(axis=0) without that copy.
+    `counts` are the per-point numbers of `where` entries. If None, they
+    are counted from `where` once the sums are taken, in place: it must
+    then be a fresh C-contiguous matrix, and is overwritten. The
+    masked reduction adds the rows in order from +0.0, so it gives the
+    bytes of np.where(where, values, 0).sum(axis=0) without that copy.
     """
     sums = np.add.reduce(values, axis=0, where=where)
+    if counts is None:
+        counts = _count_columns(where)
     out = np.full(counts.shape, np.nan)
     has = counts > 0
     out[has] = sums[has] / counts[has]
@@ -125,11 +130,10 @@ def trimmed_mean(sample: FunctionalSample, trim: TrimSpec) -> LocationEstimate:
     if trim.kept[0] < 0 or trim.kept[-1] >= sample.n_curves:
         raise ValueError("kept indices out of range for this sample")
 
-    # the kept curves' observed slots, read in place
+    # the kept curves' observed slots: summed in place, then counted
     rows = np.zeros(sample.n_curves, dtype=bool)
     rows[trim.kept] = True
-    kept = sample.mask & rows[:, None]
-    values, kept_has = _pointwise_mean(sample.values, kept, kept.sum(axis=0))
+    values, kept_has = _pointwise_mean(sample.values, sample.mask & rows[:, None], None)
     defined = sample.counts > 0
     fallback = defined & ~kept_has
     if fallback.any():

@@ -17,6 +17,7 @@ from pofda.consistency import (
     population_poifd,
 )
 from pofda.depths import DepthKind
+from pofda.poifd import poifd_of
 from pofda.simulate import GpModel, ObservationSpec, observe, sample_gp
 
 from conftest import draw_mask_reference, numpy_streams
@@ -180,7 +181,7 @@ def test_convergence_probe_order_independent():
 def test_convergence_probe_checks_sizes_before_drawing(sizes, monkeypatch):
     grid = Grid.uniform(21)
     draws = []
-    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    monkeypatch.setattr(consistency, "_gp_values", lambda *args: draws.append(args))
     spec = ObservationSpec("centered", p_obs=0.5)
     with pytest.raises(ValueError, match="sizes"):
         convergence_probe(GpModel(grid=grid, theta=1.0), sizes, default_probe_curves(grid), spec, seed=0)
@@ -191,7 +192,7 @@ def test_convergence_probe_checks_sizes_before_drawing(sizes, monkeypatch):
 def test_convergence_probe_checks_seed_before_drawing(seed, monkeypatch):
     grid = Grid.uniform(21)
     draws = []
-    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    monkeypatch.setattr(consistency, "_gp_values", lambda *args: draws.append(args))
     spec = ObservationSpec("intervals", p_obs=0.5, n_intervals=2)
     with pytest.raises(ValueError, match="seed must be an integer"):
         convergence_probe(GpModel(grid=grid, theta=1.0), [20], default_probe_curves(grid), spec, seed)
@@ -216,7 +217,7 @@ def test_interval_coverage_requires_a_seed():
 def test_convergence_probe_checks_probes_before_drawing(probes, match, monkeypatch):
     grid = Grid.uniform(21)
     draws = []
-    monkeypatch.setattr(consistency, "sample_gp", lambda *args: draws.append(args))
+    monkeypatch.setattr(consistency, "_gp_values", lambda *args: draws.append(args))
     spec = ObservationSpec("centered", p_obs=0.5)
     with pytest.raises(ValueError, match=match):
         convergence_probe(GpModel(grid=grid, theta=1.0), [20], probes, spec, seed=0)
@@ -230,12 +231,13 @@ def test_convergence_probe_draws_each_distinct_size_once(monkeypatch):
     spec = ObservationSpec("centered", p_obs=0.5)
     expected = convergence_probe(model, [30, 45], probes, spec, seed=4)
     draws = []
+    gp_values = consistency._gp_values
 
     def counted(model, n, seed):
         draws.append(n)
-        return sample_gp(model, n, seed)
+        return gp_values(model, n, seed)
 
-    monkeypatch.setattr(consistency, "sample_gp", counted)
+    monkeypatch.setattr(consistency, "_gp_values", counted)
     table = convergence_probe(model, [30, 45, 30, np.int64(45), 30], probes, spec, seed=4)
     assert draws == [30, 45]
     assert table == expected and list(table) == [30, 45]
@@ -259,6 +261,26 @@ def test_convergence_probe_interval_masks():
     assert list(table) == [20, 80]
     assert all(0.0 <= v <= 1.0 for v in table.values())
     assert convergence_probe(model, [80, 20], probes, spec, seed=3) == table
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ObservationSpec("centered", p_obs=0.5), ObservationSpec("intervals", p_obs=0.5, n_intervals=2)],
+)
+def test_convergence_probe_samples_are_observe_of_sample_gp(spec):
+    # The probe draws into one matrix; its table is that of the chained stages.
+    grid = Grid.uniform(41)
+    model = GpModel(grid=grid, theta=1.0)
+    probes = default_probe_curves(grid)[:4]
+    coverage = population_coverage(spec, grid, seed=7)
+    trend = model.trend_values()
+    pop = np.array([population_poifd(x, grid, trend, coverage) for x in probes])
+    expected = {}
+    for n in (25, 60):
+        sample = observe(grid, sample_gp(model, n, (7, n, 0)), spec, (7, n, 1))
+        emp = np.array([poifd_of(sample, x) for x in probes])
+        expected[n] = float(np.max(np.abs(emp - pop)))
+    assert convergence_probe(model, [25, 60], probes, spec, seed=7) == expected
 
 
 def _ndtr_edges() -> np.ndarray:

@@ -7,14 +7,17 @@ _BLOCK_CELLS cells across all threads, are small next to one matrix.
 Here each block is 8 columns wide on 2 CPUs (16 on one), so the least
 block width of 8 columns (about 8 * n cells per thread) does not bind;
 at n = 10^4, T = 200 it does, and CI holds the poifd_all peak there,
-printed by scripts/bench_depth_kernels.py, to the same bound.
+printed by scripts/bench_depth_kernels.py, to the same bound. Reading
+a sample's `curves` builds only the row views read.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from pofda.core import Grid
+from pofda.consistency import convergence_probe, default_probe_curves
+from pofda.core import FunctionalSample, Grid, PartialCurve
 from pofda.poifd import poifd_all, pointwise_depth_field
 from pofda.simulate import (
     ContaminationSpec,
@@ -42,7 +45,11 @@ BOUNDS = {
     "poifd_all": 1.85,
     "trimmed_mean": 0.5,
     "ordinary_mean": 0.25,
+    "convergence_probe": 1.75,
 }
+# Reading the length and two rows of a sample's `curves`, in bytes: the
+# sequence and the views read, with no per-row object for the others.
+CURVES_READ_BYTES = 4096
 
 
 def traced_peak(fn, *args):
@@ -75,9 +82,51 @@ def peaks():
     trim = select_trim(depths.poifd, 0.2)
     _, out["trimmed_mean"] = traced_peak(trimmed_mean, sample, trim)
     _, out["ordinary_mean"] = traced_peak(ordinary_mean, sample)
+    del sample, depths
+    probes = default_probe_curves(grid)
+    centered = ObservationSpec("centered", p_obs=0.5)
+    _, out["convergence_probe"] = traced_peak(convergence_probe, model, [N], probes, centered, 5)
     return out
 
 
 @pytest.mark.parametrize("stage", list(BOUNDS))
 def test_stage_holds_no_extra_matrix(peaks, stage):
     assert peaks[stage] <= BOUNDS[stage], f"{stage}: {peaks[stage]:.3f} matrices"
+
+
+def _blank_sample(n: int, length: int) -> FunctionalSample:
+    values = np.arange(n * length, dtype=float).reshape(n, length)
+    return FunctionalSample(Grid.uniform(length), values, np.ones((n, length), dtype=bool))
+
+
+def test_reading_curves_builds_only_the_rows_read():
+    sample = _blank_sample(N, T)
+    _, peak = traced_peak(lambda s: (len(s.curves), s.curves[0], s.curves[-1]), sample)
+    assert peak * MATRIX_BYTES < CURVES_READ_BYTES, f"{peak * MATRIX_BYTES:.0f} bytes"
+
+
+def test_curves_is_a_sequence_of_row_views():
+    n = 5
+    sample = _blank_sample(n, 3)
+    curves = sample.curves
+    assert curves is sample.curves
+    assert len(curves) == n
+    np.testing.assert_array_equal(curves[-1].values, sample.values[n - 1])
+    assert curves[np.int64(2)].values[0] == sample.values[2, 0]
+    with pytest.raises(IndexError):
+        curves[n]
+    with pytest.raises(IndexError):
+        curves[-n - 1]
+    with pytest.raises(TypeError):
+        curves[1.0]
+    tail = curves[1::2]
+    assert isinstance(tail, tuple) and len(tail) == 2
+    np.testing.assert_array_equal(tail[1].values, sample.values[3])
+    assert curves[n:] == ()
+    rows = list(curves)
+    assert len(rows) == n
+    for i, curve in enumerate(rows):
+        assert isinstance(curve, PartialCurve)
+        assert np.shares_memory(curve.values, sample.values[i])
+        assert np.shares_memory(curve.mask, sample.mask[i])
+        assert not curve.values.flags.writeable and not curve.mask.flags.writeable
