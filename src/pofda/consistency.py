@@ -231,10 +231,11 @@ def convergence_probe(
     observation mechanism: the bytes of `observe` applied to `sample_gp`,
     drawn into one value matrix and one mask with no all-True mask
     between them (the sample's row views are built when read, and the
-    probe reads none). Seeds are keyed to (seed, n) so the returned
-    table does not depend on the order of `sizes`. The seed (an int), the
-    sizes and the probes (at least one, each one value per grid point)
-    are checked before any sample is drawn.
+    probe reads none), and one size's sample is held at a time. Seeds
+    are keyed to (seed, n) so the returned table does not depend on the
+    order of `sizes`. The seed (an int), the sizes and the probes (at
+    least one, each one value per grid point) are checked before any
+    sample is drawn.
     """
     sizes = list(sizes)
     for n in sizes:
@@ -251,13 +252,15 @@ def convergence_probe(
     pop = np.array(
         [population_poifd(x, grid, trend, coverage, kind, phi) for x in probes]
     )
-    out: dict[int, float] = {}
-    # each distinct size once, in order of first appearance
-    for n in dict.fromkeys(int(n) for n in sizes):
+
+    def sup_discrepancy(n: int) -> float:
+        # this size's sample lives only in this call: freed before the next is drawn
         values = _gp_values(model, n, (seed, n, 0))
         within = np.broadcast_to(True, values.shape)
         mask = _draw_masks(grid.points, observation, (seed, n, 1), within)
         sample = FunctionalSample._adopt(grid, values, mask)
         emp = np.array([poifd_of(sample, x, kind, phi) for x in probes])
-        out[n] = float(np.max(np.abs(emp - pop)))
-    return out
+        return float(np.max(np.abs(emp - pop)))
+
+    # each distinct size once, in order of first appearance
+    return {n: sup_discrepancy(n) for n in dict.fromkeys(int(n) for n in sizes)}

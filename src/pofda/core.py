@@ -180,9 +180,13 @@ class FunctionalSample:
         unobserved = np.flatnonzero(~mask.any(axis=1))
         if unobserved.size:
             raise ValueError(f"curve {unobserved[0]} is unobserved everywhere")
-        if not np.all(np.isfinite(values) | ~mask):
-            raise ValueError("observed values must be finite")
         counts = mask.sum(axis=0)
+        # one bool matrix: the observed slots that hold a finite value
+        finite = np.isfinite(values)
+        finite &= mask
+        if np.count_nonzero(finite) != counts.sum():
+            raise ValueError("observed values must be finite")
+        del finite
         if adopted:
             values = np.ascontiguousarray(values)
             mask = np.ascontiguousarray(mask)
@@ -227,6 +231,7 @@ class FunctionalSample:
 
 def build_sample(grid: Grid, curves: Sequence[PartialCurve]) -> FunctionalSample:
     """Stack partial curves into an immutable sample on a shared grid."""
+    curves = list(curves)  # one walk: a sample's `curves` builds each view when read
     if not curves:
         raise ValueError("sample needs at least one curve")
     T = grid.size

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -242,6 +241,9 @@ def _run_many(configs: list[ScenarioConfig], jobs: int) -> list[ScenarioResult]:
     workers = min(jobs, len(configs))
     if workers <= 1:
         return list(map(run_scenario, configs, range(len(configs))))
+    # imported here: a serial run or `import pofda` then never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_scenario, configs, range(len(configs))))
 

@@ -108,6 +108,20 @@ class TestBuildSample:
                 original.values[original.mask], stored.values[stored.mask]
             )
 
+    def test_reads_a_samples_curves_once(self, rng, monkeypatch):
+        s = random_masked_sample(rng, 6, 8)
+        built = []
+        real_view = PartialCurve._row_view.__func__
+        monkeypatch.setattr(
+            PartialCurve,
+            "_row_view",
+            classmethod(lambda cls, *a: built.append(1) or real_view(cls, *a)),
+        )
+        rebuilt = build_sample(s.grid, s.curves)
+        assert len(built) == s.n_curves
+        np.testing.assert_array_equal(rebuilt.values, s.values)
+        np.testing.assert_array_equal(rebuilt.mask, s.mask)
+
     def test_matrix_validation(self):
         grid = Grid.uniform(3)
         ok = np.ones((2, 3), dtype=bool)

@@ -1,10 +1,10 @@
+import concurrent.futures
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pofda import harness
 from pofda.core import FunctionalSample
 from pofda.harness import (
     RESULT_COLUMNS,
@@ -149,7 +149,7 @@ class TestReproduceTables:
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_rejects_bad_jobs(self, tmp_path, monkeypatch, jobs):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # no pool may start
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no pool may start
         with pytest.raises(ValueError, match="jobs"):
             reproduce_tables(tmp_path, seed=1, jobs=jobs, n_reps=1, grid_len=10)
 
@@ -169,7 +169,7 @@ class TestReproduceTables:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         pooled = reproduce_tables(tmp_path / "pooled", seed=2, jobs=500, n_reps=1, grid_len=10)
         serial = reproduce_tables(tmp_path / "serial", seed=2, n_reps=1, grid_len=10)
         assert started == [48]

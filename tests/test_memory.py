@@ -8,14 +8,20 @@ Here each block is 8 columns wide on 2 CPUs (16 on one), so the least
 block width of 8 columns (about 8 * n cells per thread) does not bind;
 at n = 10^4, T = 200 it does, and CI holds the poifd_all peak there,
 printed by scripts/bench_depth_kernels.py, to the same bound. Reading
-a sample's `curves` builds only the row views read.
+a sample's `curves` builds only the row views read, and `import pofda`
+loads no process pool.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pofda
 from pofda.consistency import convergence_probe, default_probe_curves
 from pofda.core import FunctionalSample, Grid, PartialCurve
 from pofda.poifd import poifd_all, pointwise_depth_field
@@ -46,6 +52,15 @@ BOUNDS = {
     "trimmed_mean": 0.5,
     "ordinary_mean": 0.25,
     "convergence_probe": 1.75,
+    "convergence_probe_rising": 1.75,
+    "convergence_probe_falling": 1.75,
+}
+# The sizes of each convergence_probe case: one sample at a time is held,
+# so a second size adds no matrix.
+PROBE_SIZES = {
+    "convergence_probe": [N],
+    "convergence_probe_rising": [N // 2, N],
+    "convergence_probe_falling": [N, N - 1],
 }
 # Reading the length and two rows of a sample's `curves`, in bytes: the
 # sequence and the views read, with no per-row object for the others.
@@ -85,7 +100,8 @@ def peaks():
     del sample, depths
     probes = default_probe_curves(grid)
     centered = ObservationSpec("centered", p_obs=0.5)
-    _, out["convergence_probe"] = traced_peak(convergence_probe, model, [N], probes, centered, 5)
+    for stage, sizes in PROBE_SIZES.items():
+        _, out[stage] = traced_peak(convergence_probe, model, sizes, probes, centered, 5)
     return out
 
 
@@ -130,3 +146,11 @@ def test_curves_is_a_sequence_of_row_views():
         assert np.shares_memory(curve.values, sample.values[i])
         assert np.shares_memory(curve.mask, sample.mask[i])
         assert not curve.values.flags.writeable and not curve.mask.flags.writeable
+
+
+def test_import_loads_no_process_pool():
+    # only reproduce_tables with jobs > 1 needs multiprocessing
+    path = [str(Path(pofda.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    check = "import sys, pofda; assert 'concurrent.futures.process' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], check=True, env=env)
