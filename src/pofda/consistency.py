@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import FunctionalSample, Grid, PartialCurve, _check_integer
+from .core import FunctionalSample, Grid, PartialCurve, _check_integer, _check_real
 from .depths import DepthKind, depth_from_counts
 from .poifd import PhiLike, _phi_of_coverage, _weight_norm, poifd_of
 from .simulate import (
@@ -127,6 +127,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 def centered_coverage(grid: Grid, p_obs: float) -> np.ndarray:
     """Exact probability that a centered-interval mask covers each point."""
+    _check_real("p_obs", p_obs)
     if not 0.0 < p_obs <= 1.0:  # NaN fails too
         raise ValueError("p_obs must lie in (0, 1]")
     t = grid.points

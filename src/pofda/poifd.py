@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -67,15 +66,9 @@ def _phi_of_coverage(phi: PhiLike, coverage: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells per block of grid columns ranked per pass in the depth field,
-# so its temporaries stay small however large n is. A sample of at
-# least 2 * _BLOCK_CELLS cells is ranked on up to one thread per CPU the
-# process may run on, in blocks that many times narrower, so the cells
-# in flight across all threads stay at _BLOCK_CELLS, but no block is
-# narrower than _MIN_WIDTH columns, so at large n each thread holds
-# _MIN_WIDTH * n cells. Each block writes only its own rows of the
-# grid-column-major field, so the bytes depend on neither the thread
-# count nor the width; `taskset` pins the process to fewer CPUs.
+# Cells in flight across all threads of one `_share` pass, the depth
+# field's ranking or poifd_all's weighting, so their temporaries stay
+# small however large the sample is.
 _BLOCK_CELLS = 1 << 16
 
 # Least number of grid columns per depth-field block: the float64 values
@@ -97,25 +90,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(n: int, T: int) -> int:
-    """Threads that build and weigh the depth field of an (n, T) sample:
-    up to one per CPU and no more than T, for samples of at least
-    2 * _BLOCK_CELLS cells; one for smaller samples."""
-    return min(_cpu_count(), T) if n * T >= 2 * _BLOCK_CELLS else 1
+def _share(
+    task: Callable[[slice], object], extent: int, across: int, least: int = 1
+) -> None:
+    """task(block) over consecutive slices of range(extent), each index
+    spanning `across` cells.
 
+    At least 2 * _BLOCK_CELLS cells run on up to one thread per CPU the
+    process may run on and no more than `extent`; fewer run on the
+    calling thread alone. Each block holds _BLOCK_CELLS cells split
+    over the threads, but at least `least` indices. The blocks are
+    dealt round-robin, the calling thread taking a share, so one thread
+    and one malloc arena fewer hold block temporaries. The other threads
+    live only for the call.
+    """
+    workers = min(_cpu_count(), extent) if extent * across >= 2 * _BLOCK_CELLS else 1
+    size = max(least, _BLOCK_CELLS // (across * workers))
 
-def _pool(workers: int):
-    """Threads for all workers but the calling one, living only for the
-    call; none for a single worker."""
-    return ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+    def run(first: int) -> None:
+        for start in range(first * size, extent, workers * size):
+            task(slice(start, start + size))
 
-
-def _share(task: Callable[[int], object], workers: int, pool) -> list:
-    """[task(0), ..., task(workers - 1)], task 0 on the calling thread and
-    the others on `pool`: one thread and one malloc arena fewer hold block
-    temporaries."""
-    others = pool.map(task, range(1, workers)) if workers > 1 else ()
-    return [task(0), *others]
+    if workers == 1:
+        return run(0)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = pool.map(run, range(1, workers))
+        run(0)
+        list(others)
 
 
 def _tied_counts(ranked: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -139,9 +140,7 @@ def _tied_counts(ranked: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     return c_lt + sizes, c_lt, k[rows], sizes
 
 
-def _depth_field(
-    sample: FunctionalSample, kind: DepthKind, fill: float, workers: int, pool
-) -> np.ndarray:
+def _depth_field(sample: FunctionalSample, kind: DepthKind, fill: float) -> np.ndarray:
     """Per-curve per-point sample depths, `fill` where a curve is unobserved,
     as the (n, T) transposed view of the first n columns of a C-ordered
     (T, n + 1) array; its `.tobytes()` is the field's C-order bytes.
@@ -177,10 +176,11 @@ def _depth_field(
 
     The rows are then reset to `fill` and the depths scattered back
     within them; what the padding entries hold lands in the spare, which
-    is not part of the field. The blocks, at least _MIN_WIDTH columns
-    wide, are taken in turn by `workers` threads, the calling one and
-    those of `pool`; a block that no curve observes is only reset to
-    `fill`.
+    is not part of the field. A block that no curve observes is only
+    reset to `fill`. `_share` deals the blocks to its threads, and no
+    block is narrower than _MIN_WIDTH columns, so at large n each thread
+    holds _MIN_WIDTH * n cells. Each block writes only its own rows, so
+    the bytes depend on neither the thread count nor the block width.
     """
     kind = DepthKind(kind)
     values, counts = sample.values, sample.counts
@@ -191,13 +191,11 @@ def _depth_field(
     # Float counts give the integer counts' bytes: every intermediate of
     # `depth_from_counts` is an integer below 2^53 for n < 2^26
     k = np.maximum(counts, 1.0)
-    width = max(_MIN_WIDTH, _BLOCK_CELLS // (n * workers))
     low = (1 << n.bit_length()) - 1
     pad = np.array(_DBL_MAX_BITS & ~low | n).view(np.float64)
     index = np.arange(n + 1)
 
-    def rank(start: int) -> None:
-        cols = slice(start, start + width)
+    def rank(cols: slice) -> None:
         block, count = field[cols], counts[cols]
         keep = int(count.max())
         # the cut keeps the unobserved slots of the less observed columns
@@ -241,11 +239,7 @@ def _depth_field(
         block.fill(fill)
         block.reshape(-1)[order] = depth
 
-    def rank_every(first: int) -> None:
-        for start in range(first * width, T, workers * width):
-            rank(start)
-
-    _share(rank_every, workers, pool)
+    _share(rank, T, n, _MIN_WIDTH)
     return field[:, :n].T
 
 
@@ -340,10 +334,7 @@ def pointwise_depth_field(sample: FunctionalSample, kind: DepthKind) -> np.ndarr
     `np.argsort` where near-ties have misplaced it. The depths are
     scattered within the column's own row.
     """
-    n, T = sample.values.shape
-    workers = _workers(n, T)
-    with _pool(workers) as pool:
-        return _depth_field(sample, kind, np.nan, workers, pool)
+    return _depth_field(sample, kind, np.nan)
 
 
 @dataclass(frozen=True)
@@ -391,25 +382,18 @@ def poifd_all(
     # allocated before the field, so a caller that keeps the depths holds
     # no heap block above the field's and the next call can reuse its space
     out = np.empty(n)
-    workers = _workers(n, T)
-    with _pool(workers) as pool:
-        field = _depth_field(sample, kind, 0.0, workers, pool)
-        # the weights are built in blocks of rows, as many times narrower
-        # as there are threads and with no least width, so the cells in
-        # flight stay at about _BLOCK_CELLS and no (n, T) weight matrix is
-        # held next to the field
-        rows = max(1, _BLOCK_CELLS // (T * workers))
+    field = _depth_field(sample, kind, 0.0)
 
-        def weigh_every(first: int) -> None:
-            for start in range(first * rows, n, workers * rows):
-                block = slice(start, start + rows)
-                weights = np.multiply(sample.mask[block], point_weights)
-                weights /= weights.sum(axis=1)[:, None]
-                # unobserved slots hold 0 in the field and weigh 0
-                weights *= field[block]
-                weights.sum(axis=1, out=out[block])
+    # the weights are built in blocks of rows, so no (n, T) weight matrix
+    # is held next to the field
+    def weigh(rows: slice) -> None:
+        weights = np.multiply(sample.mask[rows], point_weights)
+        weights /= weights.sum(axis=1)[:, None]
+        # unobserved slots hold 0 in the field and weigh 0
+        weights *= field[rows]
+        weights.sum(axis=1, out=out[rows])
 
-        _share(weigh_every, workers, pool)
+    _share(weigh, n, T)
     return DepthResult(out)
 
 

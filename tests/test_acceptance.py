@@ -8,6 +8,7 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from conftest import read_csv
 TABLE_SEEDS = (7, 42, 88)
 # sha256 of the seed-13 table1..table4 bytes, concatenated in that order
 SEED13_TABLES_SHA256 = "98970605e31e1789525d2e62b97ce6bdf480f4b3ab457ff24a9aa83327d7a5f1"
+# the same four tables as text; a re-pin regenerates them, so the diff
+# shows each cell that moved
+SEED13_TABLES = Path(__file__).parent / "data" / "seed13"
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -311,8 +315,9 @@ def test_criterion_7_simulation_statistical_checks():
 
 
 def test_criterion_8_determinism(tmp_path, seed13_serial_tables):
-    """Byte-identical tables for equal seeds, serial and parallel, and
-    equal to the pinned seed-13 digest of table1..4 concatenated."""
+    """Byte-identical tables for equal seeds, serial and parallel, equal
+    to the committed seed-13 tables and to the pinned digest of table1..4
+    concatenated."""
     a, _, _ = seed13_serial_tables
     b = reproduce_tables(tmp_path / "serial_b", seed=13, jobs=1)
     c = reproduce_tables(tmp_path / "parallel", seed=13, jobs=4)
@@ -320,10 +325,12 @@ def test_criterion_8_determinism(tmp_path, seed13_serial_tables):
         pa.read_bytes() == pb.read_bytes() and pa.read_bytes() == pc.read_bytes()
         for pa, pb, pc in zip(a, b, c)
     )
+    moved = [p.name for p in a if p.read_bytes() != (SEED13_TABLES / p.name).read_bytes()]
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in a)).hexdigest()
     pinned = digest == SEED13_TABLES_SHA256
-    report(8, "determinism", identical and pinned, f"sha256 {digest[:12]}")
+    report(8, "determinism", identical and not moved and pinned, f"sha256 {digest[:12]}")
     assert identical
+    assert not moved, f"differ from {SEED13_TABLES}: {moved}"
     assert pinned, digest
 
 

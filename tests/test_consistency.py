@@ -51,10 +51,21 @@ class TestCenteredCoverage:
         grid = Grid.uniform(11)
         np.testing.assert_array_equal(centered_coverage(grid, 1.0), np.ones(11))
 
-    @pytest.mark.parametrize("p", [-0.2, 0.0, 1.5, np.nan, np.inf])
-    def test_rejects_p_obs_outside_unit_interval(self, p):
-        # as ObservationSpec does: no all-ones, zeros, NaN or 0-division
-        with pytest.raises(ValueError, match=r"p_obs must lie in \(0, 1\]"):
+    @pytest.mark.parametrize(
+        "p, match",
+        [
+            pytest.param(p, match, id=str(p))
+            for ps, match in [
+                ((-0.2, 0.0, 1.5, np.nan, np.inf), r"p_obs must lie in \(0, 1\]"),
+                ((True, "0.5"), "p_obs must be a real number"),
+            ]
+            for p in ps
+        ],
+    )
+    def test_rejects_p_obs_outside_unit_interval(self, p, match):
+        # as ObservationSpec does: no all-ones, zeros, NaN or 0-division,
+        # and no bool or string
+        with pytest.raises(ValueError, match=match):
             centered_coverage(Grid.uniform(11), p)
 
 

@@ -612,8 +612,8 @@ class TestRankKernel:
                     ) as pool,
                 ):
                     assert poifd_all(sample, kind).poifd.tobytes() == want
-                # one pool serves the field and the weighting
-                assert pool.call_count == cpus - 1
+                # the field and the weighting each start a pool of their own
+                assert pool.call_count == 2 * (cpus - 1)
 
     def test_threads_only_for_large_samples_and_joined(self):
         # 33 x 2000 cells: at least 2 blocks of 16 cells, under 2 blocks
@@ -642,8 +642,47 @@ class TestRankKernel:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
-        # the calling thread ranks a share itself
-        assert [c.args for c in pool.call_args_list] == [(3,), (3,)]
+        # the calling thread ranks a share itself; poifd_all's weighting
+        # starts the third pool
+        assert [c.args for c in pool.call_args_list] == [(3,), (3,), (3,)]
+
+    @pytest.mark.parametrize("least", [1, 8])
+    def test_share_covers_every_index_once(self, least):
+        # a 16-cell budget over odd extents, so most block sizes leave a
+        # short last block, each index 1 or 3 cells across: under 32 cells
+        # run on the calling thread alone, the rest on up to `cpus` threads
+        caller = threading.get_ident()
+        before = threading.active_count()
+        for extent, across, cpus in itertools.product((1, 7, 37, 101), (1, 3), (1, 2, 3, 4)):
+            blocks, threads = [], set()
+
+            def task(block):
+                blocks.append(range(extent)[block])
+                threads.add(threading.get_ident())
+
+            with (
+                mock.patch.object(poifd, "_BLOCK_CELLS", 16),
+                mock.patch.object(poifd, "_cpu_count", return_value=cpus),
+            ):
+                poifd._share(task, extent, across, least)
+            blocks.sort(key=lambda block: block.start)
+            assert [i for block in blocks for i in block] == list(range(extent))
+            assert all(len(block) >= least for block in blocks[:-1])
+            assert caller in threads
+            assert threading.active_count() == before
+
+        def fail(block):
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError
+
+        # an error on another thread reaches the caller
+        with (
+            mock.patch.object(poifd, "_BLOCK_CELLS", 16),
+            mock.patch.object(poifd, "_cpu_count", return_value=2),
+            pytest.raises(ZeroDivisionError),
+        ):
+            poifd._share(fail, 101, 3, least)
+        assert threading.active_count() == before
 
     def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
         assert poifd._cpu_count() == len(os.sched_getaffinity(0))
