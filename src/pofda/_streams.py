@@ -5,6 +5,12 @@ byte, where child is the i-th child of seed_sequence(seed): the one
 numpy's spawn would return. A seed is read, never advanced: a
 SeedSequence's n_children_spawned is the first child index, so passing
 the same object twice yields the same streams, as an int seed does.
+
+A child's spawn key is its seed's plus the child index, so the
+child's SeedSequence pool is the seed's own, numpy's
+`SeedSequence.pool`, with that one word mixed in. Only that mix, the
+state words the pool generates and PCG64's seed step are computed
+here, each in one pass over all n children.
 """
 
 from __future__ import annotations
@@ -16,19 +22,17 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 # numpy's SeedSequence hash constants (NEP 19 fixes them) and PCG64's
-# 128-bit multiplier. The uint32 ones wrap as numpy's C code does.
-_INIT_A = np.uint32(0x43B0D7E5)
-_MULT_A = np.uint32(0x931E8875)
-_INIT_B = np.uint32(0x8B51F9DD)
-_MULT_B = np.uint32(0x58F38DED)
+# 128-bit multiplier, also as its (high, low) uint64 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 _LO32 = np.uint64(_MASK32)
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_WORDS = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 
 
 def seed_sequence(seed) -> SeedSequence:
@@ -64,48 +68,6 @@ def _words(x) -> list[int]:
     return [w for v in x for w in _words(v)]
 
 
-def _mix_entropy(words: list, pool_size: int) -> list:
-    """SeedSequence's entropy pool from its entropy words, as pool_size words.
-
-    Each word is a uint32 scalar or a column of them; columns give one
-    pool per row. The run entropy is already padded to pool_size words.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A
-        value = value * hash_const
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(w) for w in words[:pool_size]]
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[pool_size:]:
-        for dst in range(pool_size):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool
-
-
-def _generate_state(pool: list, n_words: int) -> list:
-    """SeedSequence.generate_state(n_words, uint32) from the pool words."""
-    hash_const = _INIT_B
-    out = []
-    for i in range(n_words):
-        value = pool[i % len(pool)] ^ hash_const
-        hash_const = hash_const * _MULT_B
-        value = value * hash_const
-        out.append(value ^ value >> _XSHIFT)
-    return out
-
-
 def _check_children(seq: SeedSequence, n: int, what: str) -> int:
     """The first of n child indices of seq, which must lie below 2**32."""
     first = seq.n_children_spawned
@@ -127,32 +89,57 @@ def _children(seed, n: int) -> list[SeedSequence]:
     ]
 
 
+@lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, first: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier of numpy's hashmix calls first .. first + k - 1,
+    as (k, 1) uint32 columns: call c xors init * mult**c and multiplies
+    by init * mult**(c + 1), mod 2**32."""
+    h = [init * pow(mult, first + j, 1 << 32) & _MASK32 for j in range(k + 1)]
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """numpy's hashmix of each row of value, row j as the j-th call of `consts`."""
+    xor, mult = consts
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
 def _curve_states(seed, n: int) -> tuple[np.ndarray, ...]:
     """PCG64 states of curves 0 .. n-1 as uint64 columns (state_hi, state_lo, inc_hi, inc_lo).
 
-    Every child's SeedSequence hash and PCG64 seed step is computed in
-    one pass over n rows.
+    Each child's pool is the seed's `SeedSequence.pool` with the child
+    index mixed in. Before that mix numpy's hash has made pool_size**2 +
+    pool_size * (words - pool_size) calls for the child's first `words`
+    entropy words, which fixes its constants.
     """
     seq = seed_sequence(seed)
     first = _check_children(seq, n, "curve streams")
-    run = _words(seq.entropy)
-    run += [0] * (seq.pool_size - len(run))
-    # Children differ only in their last entropy word, the child index:
-    # the shared words are uint32 scalars, that one a column over n rows.
-    words = [np.uint32(w) for w in run + _words(seq.spawn_key)]
-    words.append(np.arange(first, first + n, dtype=np.uint32))
-    with np.errstate(over="ignore"):
-        u32 = _generate_state(_mix_entropy(words, seq.pool_size), 8)
-    # generate_state(4, uint64) reads the 32-bit words little-endian.
-    w0, w1, w2, w3 = (hi.astype(np.uint64) << 32 | lo for lo, hi in zip(u32[::2], u32[1::2]))
+    size = seq.pool_size
+    # A child pads the seed's run entropy to pool_size words before its
+    # spawn key, as the seed itself does when its spawn key is nonempty;
+    # an empty one hashes a short run as zeros, to the same pool.
+    words = max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key))
+    index = np.arange(first, first + n, dtype=np.uint32)
+    pool = _hashmix(index, _hash_consts(_INIT_A, _MULT_A, size * words, size))
+    pool *= _MIX_MULT_R
+    np.subtract(_MIX_MULT_L * seq.pool[:, None], pool, out=pool)
+    pool ^= pool >> 16
+    # generate_state(4, uint64): 8 uint32 words hashed from the pool words
+    # in turn, paired little-endian.
+    u32 = _hashmix(pool[np.arange(8) % size], _hash_consts(_INIT_B, _MULT_B, 0, 8))
+    w0, w1, w2, w3 = u32[1::2].astype(np.uint64) << 32 | u32[::2]
     # PCG64's set-seed step: inc = (w2, w3) << 1 | 1; state = 0, step,
-    # add the initial state (w0, w1), step.
+    # add the initial state (w0, w1), step: state = (inc + init) * MULT + inc.
     inc_hi = w2 << 1 | w3 >> 63
     inc_lo = w3 << 1 | 1
     lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < inc_lo)
-    hi, lo = _advance(hi, lo, inc_hi, inc_lo, 1)
-    return hi[0], lo[0], inc_hi, inc_lo
+    hi, lo = _mul128(inc_hi + w0 + (lo < inc_lo), lo, *_PCG_MULT_WORDS)
+    lo += inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo
 
 
 @lru_cache(maxsize=16)
@@ -287,11 +274,10 @@ def _curve_rngs(seed, n: int) -> Iterator[Generator]:
     sample_gp reads a Generator while the other stages use _Streams.
     """
     gen = Generator(PCG64())
+    words = {}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for state_hi, state_lo, inc_hi, inc_lo in zip(*(c.tolist() for c in _curve_states(seed, n))):
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        words["state"] = state_hi << 64 | state_lo
+        words["inc"] = inc_hi << 64 | inc_lo
+        gen.bit_generator.state = state
         yield gen

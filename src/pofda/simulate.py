@@ -13,8 +13,10 @@ result in a validated sample.
 Curve i of a stage draws from the i-th stream of the stage seed
 (`_streams` holds that contract), so serial and parallel generation
 give the same bytes. Contamination and masks are drawn for all curves
-in one vectorized pass; `sample_gp` reads one Generator per curve,
-since its ziggurat normals need numpy's own tables.
+in one vectorized pass. `sample_gp` sets one Generator to each curve's
+stream in turn, since its ziggurat normals need numpy's own tables,
+and multiplies each block of rows by the Cholesky factor in one
+stacked matmul whose rows keep the bytes of a lone L @ z.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ __all__ = [
 _MAX_MASK_RETRIES = 1000
 
 # Rows per block of a vectorized mask draw: about this many bytes in each
-# of its (rows, T) bool masks and (draws, rows) 8-byte stream words.
+# of its (rows, T) bool masks and (draws, rows) 8-byte stream words. A GP
+# draw's block of (rows, T) normals takes at most this many bytes.
 _BLOCK_BYTES = 1 << 21
 
 
@@ -119,8 +122,11 @@ def _gp_values(model: GpModel, n: int, seed) -> np.ndarray:
     Curve i is produced from the i-th spawned child of the seed, so the
     result does not depend on generation order. A SeedSequence seed is
     not advanced: passing the same object again repeats the sample, as
-    an int seed does. Each row is its own matrix-vector product: the
-    batched Z @ L.T rounds differently.
+    an int seed does. The normals are drawn a block of rows at a time
+    into one buffer, no larger than L and at most _BLOCK_BYTES, and each
+    block is multiplied in one stacked matmul. numpy runs that as one
+    gemv per row, so each row's bytes are those of L @ z, unlike a
+    batched Z @ L.T gemm's.
     """
     _check_integer("n", n)
     if n < 1:
@@ -128,8 +134,13 @@ def _gp_values(model: GpModel, n: int, seed) -> np.ndarray:
     L = model.covariance_factor()
     T = model.grid.size
     values = np.empty((n, T))
-    for i, rng in enumerate(_curve_rngs(seed, n)):
-        values[i] = L @ rng.standard_normal(T)
+    z = np.empty((min(n, T, max(1, _BLOCK_BYTES // (8 * T))), T))
+    rngs = _curve_rngs(seed, n)
+    for first in range(0, n, len(z)):
+        block = z[: n - first]
+        for row in block:
+            next(rngs).standard_normal(out=row)
+        np.matmul(L, block[:, :, None], out=values[first : first + len(block), :, None])
     values += model.trend_values()
     return values
 

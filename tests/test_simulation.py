@@ -15,7 +15,9 @@ from pofda.simulate import (
     GpModel,
     ObservationKind,
     ObservationSpec,
+    _BLOCK_BYTES,
     _cached_factor,
+    _gp_values,
     _shift,
     contaminate,
     observe,
@@ -140,6 +142,30 @@ class TestSampleGp:
             for k in range(1, T):
                 x[k] = scale[k - 1] * z[k] + rho[k - 1] * x[k - 1]
             np.testing.assert_allclose(row, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [2, 3, 101, 200])
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 17,
+            lambda: (4, 2**40, 9),
+            lambda: SeedSequence((5, 6, 7), spawn_key=(2, 1), pool_size=8, n_children_spawned=3),
+        ],
+        ids=["int", "tuple", "sequence"],
+    )
+    def test_stacked_rows_equal_lone_products(self, T, make_seed):
+        # each block of rows is one stacked matmul; every row keeps the
+        # bytes of a lone L @ z on its child's normals, on either side of
+        # a block edge
+        model = GpModel(grid=Grid.uniform(T), theta=30.0)
+        L = model.covariance_factor()
+        block = min(T, _BLOCK_BYTES // (8 * T))
+        for n in sorted({1, 2, block - 1, block, block + 1} - {0}):
+            seq = make_seed()
+            seq = seq if isinstance(seq, SeedSequence) else SeedSequence(seq)
+            rows = [L @ default_rng(child).standard_normal(T) for child in seq.spawn(n)]
+            expected = np.array(rows) + model.trend_values()
+            assert _gp_values(model, n, make_seed()).tobytes() == expected.tobytes(), n
 
     def test_mean_close_to_trend(self, model):
         X = sample_gp(model, 2000, seed=11).values
