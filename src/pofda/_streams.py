@@ -16,7 +16,6 @@ here, each in one pass over all n children.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -108,40 +107,6 @@ def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.nda
     return value
 
 
-def _curve_states(seed, n: int) -> tuple[np.ndarray, ...]:
-    """PCG64 states of curves 0 .. n-1 as uint64 columns (state_hi, state_lo, inc_hi, inc_lo).
-
-    Each child's pool is the seed's `SeedSequence.pool` with the child
-    index mixed in. Before that mix numpy's hash has made pool_size**2 +
-    pool_size * (words - pool_size) calls for the child's first `words`
-    entropy words, which fixes its constants.
-    """
-    seq = seed_sequence(seed)
-    first = _check_children(seq, n, "curve streams")
-    size = seq.pool_size
-    # A child pads the seed's run entropy to pool_size words before its
-    # spawn key, as the seed itself does when its spawn key is nonempty;
-    # an empty one hashes a short run as zeros, to the same pool.
-    words = max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key))
-    index = np.arange(first, first + n, dtype=np.uint32)
-    pool = _hashmix(index, _hash_consts(_INIT_A, _MULT_A, size * words, size))
-    pool *= _MIX_MULT_R
-    np.subtract(_MIX_MULT_L * seq.pool[:, None], pool, out=pool)
-    pool ^= pool >> 16
-    # generate_state(4, uint64): 8 uint32 words hashed from the pool words
-    # in turn, paired little-endian.
-    u32 = _hashmix(pool[np.arange(8) % size], _hash_consts(_INIT_B, _MULT_B, 0, 8))
-    w0, w1, w2, w3 = u32[1::2].astype(np.uint64) << 32 | u32[::2]
-    # PCG64's set-seed step: inc = (w2, w3) << 1 | 1; state = 0, step,
-    # add the initial state (w0, w1), step: state = (inc + init) * MULT + inc.
-    inc_hi = w2 << 1 | w3 >> 63
-    inc_lo = w3 << 1 | 1
-    lo = inc_lo + w1
-    hi, lo = _mul128(inc_hi + w0 + (lo < inc_lo), lo, *_PCG_MULT_WORDS)
-    lo += inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo
-
-
 @lru_cache(maxsize=16)
 def _jumps(k: int) -> tuple[np.ndarray, ...]:
     """PCG64's c-step jumps for c = 1 .. k as (k, 1) uint64 word columns.
@@ -172,41 +137,77 @@ def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return hi, a_lo * b_lo
 
 
-def _advance(hi, lo, inc_hi, inc_lo, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next k PCG64 states of each stream, as (k, rows) word arrays.
-
-    All k come from the current state at once through _jumps, not from
-    k sequential steps.
-    """
-    mult_hi, mult_lo, g_hi, g_lo = _jumps(k)
-    x_hi, x_lo = _mul128(hi, lo, mult_hi, mult_lo)
-    y_hi, y_lo = _mul128(inc_hi, inc_lo, g_hi, g_lo)
-    new_lo = x_lo + y_lo
-    return x_hi + y_hi + (new_lo < y_lo), new_lo
-
-
 class _Streams:
-    """The PCG64 streams of a block of curves, each row advanced on its own state.
+    """The PCG64 streams of curves 0 .. n-1 of a seed, each row advanced on its own state.
 
     Row r draws what Generator(PCG64(child_r)) draws, byte for byte, as
     long as each method is called for the same rows in the same order as
     the matching Generator method: `doubles` is `random`, `bounded` is
-    `integers(0, j + 1)` and `choice` is `choice(pop, m, replace=False)`.
-    `rows` is an index array into the block. Each row keeps PCG64's
+    `integers(0, j + 1)`, `choice` is `choice(pop, m, replace=False)` and
+    `normals`, a handle's last draw, is `standard_normal`. `rows` is an
+    index array into the handle, and `streams[rows]` is a handle on those
+    rows' streams at their current states. Each row keeps PCG64's
     buffered upper half of a 64-bit draw for its next 32-bit draw.
     """
 
-    def __init__(self, state_hi, state_lo, inc_hi, inc_lo) -> None:
-        self.hi, self.lo = state_hi.copy(), state_lo.copy()
-        self.inc_hi, self.inc_lo = inc_hi, inc_lo
-        self.has_uint32 = np.zeros(state_hi.shape, dtype=bool)
-        self.uinteger = np.zeros(state_hi.shape, dtype=np.uint64)
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo", "has_uint32", "uinteger")
+
+    def __init__(self, seed, n: int) -> None:
+        """The streams' PCG64 states, as uint64 columns, all n at once.
+
+        Each child's pool is the seed's `SeedSequence.pool` with the child
+        index mixed in. Before that mix numpy's hash has made pool_size**2 +
+        pool_size * (words - pool_size) calls for the child's first `words`
+        entropy words, which fixes its constants.
+        """
+        seq = seed_sequence(seed)
+        first = _check_children(seq, n, "curve streams")
+        size = seq.pool_size
+        # A child pads the seed's run entropy to pool_size words before its
+        # spawn key, as the seed itself does when its spawn key is nonempty;
+        # an empty one hashes a short run as zeros, to the same pool.
+        words = max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key))
+        index = np.arange(first, first + n, dtype=np.uint32)
+        pool = _hashmix(index, _hash_consts(_INIT_A, _MULT_A, size * words, size))
+        pool *= _MIX_MULT_R
+        np.subtract(_MIX_MULT_L * seq.pool[:, None], pool, out=pool)
+        pool ^= pool >> 16
+        # generate_state(4, uint64): 8 uint32 words hashed from the pool words
+        # in turn, paired little-endian.
+        u32 = _hashmix(pool[np.arange(8) % size], _hash_consts(_INIT_B, _MULT_B, 0, 8))
+        w0, w1, w2, w3 = u32[1::2].astype(np.uint64) << 32 | u32[::2]
+        # PCG64's set-seed step: inc = (w2, w3) << 1 | 1; state = 0, step,
+        # add the initial state (w0, w1), step: state = (inc + init) * MULT + inc.
+        self.inc_hi = w2 << 1 | w3 >> 63
+        self.inc_lo = w3 << 1 | 1
+        lo = self.inc_lo + w1
+        hi, self.lo = _mul128(self.inc_hi + w0 + (lo < self.inc_lo), lo, *_PCG_MULT_WORDS)
+        self.lo += self.inc_lo
+        self.hi = hi + self.inc_hi + (self.lo < self.inc_lo)
+        self.has_uint32 = np.zeros(n, dtype=bool)
+        self.uinteger = np.zeros(n, dtype=np.uint64)
+
+    def __getitem__(self, rows) -> _Streams:
+        """The streams of `rows` at their current states; drawing from them
+        leaves this handle's states as they are. No draw writes the
+        increments, so a slice shares them."""
+        sub = object.__new__(_Streams)
+        sub.inc_hi, sub.inc_lo = self.inc_hi[rows], self.inc_lo[rows]
+        for name in ("hi", "lo", "has_uint32", "uinteger"):
+            setattr(sub, name, getattr(self, name)[rows].copy())
+        return sub
 
     def next64(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
-        """k successive 64-bit outputs (XSL-RR) per row, as a (k, rows) array."""
-        hi, lo = _advance(
-            self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows], k
-        )
+        """k successive 64-bit outputs (XSL-RR) per row, as a (k, rows) array.
+
+        All k states come from the current one at once through _jumps,
+        not from k sequential steps.
+        """
+        mult_hi, mult_lo, g_hi, g_lo = _jumps(k)
+        x_hi, x_lo = _mul128(self.hi[rows], self.lo[rows], mult_hi, mult_lo)
+        y_hi, y_lo = _mul128(self.inc_hi[rows], self.inc_lo[rows], g_hi, g_lo)
+        lo = x_lo + y_lo
+        hi = x_hi + y_hi + (lo < y_lo)
         if k:
             self.hi[rows], self.lo[rows] = hi[-1], lo[-1]
         x, rot = hi ^ lo, hi >> 58
@@ -264,20 +265,21 @@ class _Streams:
             picks[r, i], picks[r, j] = picks[r, j], picks[r, i]
         return picks
 
+    def normals(self, out: np.ndarray) -> None:
+        """Generator.standard_normal(out=row) for stream r into row r of out.
 
-def _curve_rngs(seed, n: int) -> Iterator[Generator]:
-    """The streams of curves 0 .. n-1 as numpy Generators, for sample_gp.
-
-    One generator is yielded n times with its state set per curve from
-    _curve_states, so each stream must be consumed before the next is
-    taken. Its ziggurat normals need numpy's own tables, which is why
-    sample_gp reads a Generator while the other stages use _Streams.
-    """
-    gen = Generator(PCG64())
-    words = {}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for state_hi, state_lo, inc_hi, inc_lo in zip(*(c.tolist() for c in _curve_states(seed, n))):
-        words["state"] = state_hi << 64 | state_lo
-        words["inc"] = inc_hi << 64 | inc_lo
-        gen.bit_generator.state = state
-        yield gen
+        The ziggurat needs numpy's own tables, so one Generator is set to
+        each row's state in turn. Reading its end states back made the
+        draw 30% slower at T = 101, so this is the handle's last draw:
+        it drops the states, and a later draw raises AttributeError.
+        """
+        gen = Generator(PCG64())
+        words = {}
+        state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+        columns = (c.tolist() for c in (self.hi, self.lo, self.inc_hi, self.inc_lo))
+        for row, hi, lo, inc_hi, inc_lo in zip(out, *columns, strict=True):
+            words["state"] = hi << 64 | lo
+            words["inc"] = inc_hi << 64 | inc_lo
+            gen.bit_generator.state = state
+            gen.standard_normal(out=row)
+        del self.hi, self.lo

@@ -100,7 +100,7 @@ class PartialCurve:
             raise ValueError("curve is unobserved everywhere")
         if not np.all(np.isfinite(values[mask])):
             raise ValueError("observed values must be finite")
-        object.__setattr__(self, "values", _frozen(np.where(mask, values, np.nan)))
+        object.__setattr__(self, "values", _readonly(np.where(mask, values, np.nan)))
         object.__setattr__(self, "mask", _frozen(mask))
 
     @classmethod
@@ -164,10 +164,27 @@ class FunctionalSample:
     coverage: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # set on the instance by `_adopt` only
-        adopted = self.__dict__.pop("_adopted", False)
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        self._store(self.values, self.mask, copy=True)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray, mask: np.ndarray) -> "FunctionalSample":
+        """A sample that takes over the arrays it is given: the constructor's checks, no copy.
+
+        `values` should be a fresh C-contiguous float64 matrix that no
+        one else holds: NaN is written into its unobserved slots in
+        place. `mask` may be another sample's read-only mask. Both are
+        marked read-only. Arrays of another layout or dtype are copied.
+        """
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "grid", grid)
+        sample._store(values, mask, copy=False)
+        return sample
+
+    def _store(self, values, mask, copy: bool) -> None:
+        """Check the matrices against the grid and store them read-only with NaN
+        at unobserved slots: as fresh copies, or else as the arrays themselves."""
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
         T = self.grid.size
         if values.ndim != 2 or values.shape[0] == 0:
             raise ValueError("sample needs at least one curve")
@@ -187,36 +204,18 @@ class FunctionalSample:
         if np.count_nonzero(finite) != counts.sum():
             raise ValueError("observed values must be finite")
         del finite
-        if adopted:
-            values = np.ascontiguousarray(values)
-            mask = np.ascontiguousarray(mask)
-            np.copyto(values, np.nan, where=~mask)
-        else:
+        if copy:
             # One fresh C-contiguous copy of each matrix, NaN wherever unobserved.
             values = np.ascontiguousarray(np.where(mask, values, np.nan))
             mask = np.array(mask, order="C")
+        else:
+            values = np.ascontiguousarray(values)
+            mask = np.ascontiguousarray(mask)
+            np.copyto(values, np.nan, where=~mask)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "mask", _readonly(mask))
         object.__setattr__(self, "counts", _readonly(counts))
         object.__setattr__(self, "coverage", _readonly(counts / values.shape[0]))
-
-    @classmethod
-    def _adopt(cls, grid: Grid, values: np.ndarray, mask: np.ndarray) -> "FunctionalSample":
-        """A sample that takes over the arrays it is given, with the
-        constructor's checks but no copy.
-
-        `values` should be a fresh C-contiguous float64 matrix that no
-        one else holds: NaN is written into its unobserved slots in
-        place. `mask` may be another sample's read-only mask. Both are
-        marked read-only. Arrays of another layout or dtype are copied.
-        """
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "grid", grid)
-        object.__setattr__(sample, "values", values)
-        object.__setattr__(sample, "mask", mask)
-        object.__setattr__(sample, "_adopted", True)
-        sample.__post_init__()
-        return sample
 
     @property
     def n_curves(self) -> int:

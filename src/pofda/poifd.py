@@ -347,7 +347,7 @@ class DepthResult:
     poifd: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poifd", _readonly(np.asarray(self.poifd, float)))
+        object.__setattr__(self, "poifd", _readonly(np.array(self.poifd, float)))
 
 
 def poifd_all(

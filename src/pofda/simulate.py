@@ -10,13 +10,12 @@ three and validates one :class:`FunctionalSample` at the end. The public
 `sample_gp`, `contaminate` and `observe` run one step each and wrap its
 result in a validated sample.
 
-Curve i of a stage draws from the i-th stream of the stage seed
-(`_streams` holds that contract), so serial and parallel generation
+Curve i of a stage draws from the i-th stream of the stage seed, row i
+of the stage's `_Streams` handle, so serial and parallel generation
 give the same bytes. Contamination and masks are drawn for all curves
-in one vectorized pass. `sample_gp` sets one Generator to each curve's
-stream in turn, since its ziggurat normals need numpy's own tables,
-and multiplies each block of rows by the Cholesky factor in one
-stacked matmul whose rows keep the bytes of a lone L @ z.
+in one vectorized pass. `sample_gp` draws the normals of a block of
+rows through the handle and multiplies the block by the Cholesky factor
+in one stacked matmul whose rows keep the bytes of a lone L @ z.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import _children, _curve_rngs, _curve_states, _Streams, seed_sequence
+from ._streams import _children, _Streams, seed_sequence
 from .core import FunctionalSample, Grid, _check_integer, _check_real, _readonly
 
 __all__ = [
@@ -135,11 +134,10 @@ def _gp_values(model: GpModel, n: int, seed) -> np.ndarray:
     T = model.grid.size
     values = np.empty((n, T))
     z = np.empty((min(n, T, max(1, _BLOCK_BYTES // (8 * T))), T))
-    rngs = _curve_rngs(seed, n)
+    streams = _Streams(seed, n)
     for first in range(0, n, len(z)):
         block = z[: n - first]
-        for row in block:
-            next(rngs).standard_normal(out=row)
+        streams[first : first + len(block)].normals(block)
         np.matmul(L, block[:, :, None], out=values[first : first + len(block), :, None])
     values += model.trend_values()
     return values
@@ -188,7 +186,7 @@ def _draws(spec: ContaminationSpec, n: int, seed):
     All three draws are consumed for every curve regardless of kind, so
     the same seed contaminates the same curves under each kind.
     """
-    u = _Streams(*_curve_states(seed, n)).doubles(np.arange(n), 3)
+    u = _Streams(seed, n).doubles(np.arange(n), 3)
     flags = np.where(u[:, 0] < spec.q, 1.0, 0.0)
     signs = np.where(u[:, 1] < 0.5, 1.0, -1.0)
     return flags, signs, u[:, 2]
@@ -331,15 +329,15 @@ def _draw_masks(pts: np.ndarray, spec: ObservationSpec, seed, within: np.ndarray
     the rows whose mask is still empty, at most _MAX_MASK_RETRIES times.
     """
     out = np.empty(within.shape, dtype=bool)
-    states = _curve_states(seed, out.shape[0])
+    streams = _Streams(seed, out.shape[0])
     doubles = spec._n_cells() - 1 if spec.kind is ObservationKind.RANDOM_INTERVALS else 2
     step = max(1, _BLOCK_BYTES // max(pts.size, 8 * doubles))
     for first in range(0, out.shape[0], step):
         block = slice(first, first + step)
-        streams = _Streams(*(column[block] for column in states))
-        rows = np.arange(streams.hi.size)
+        block_streams = streams[block]
+        rows = np.arange(block_streams.hi.size)
         for _ in range(_MAX_MASK_RETRIES):
-            mask = _mask_attempt(pts, spec, streams, rows)
+            mask = _mask_attempt(pts, spec, block_streams, rows)
             mask &= within[block][rows]
             hit = mask.any(axis=1)
             out[first + rows[hit]] = mask[hit]

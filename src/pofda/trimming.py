@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, _check_integer, _check_real, _frozen
+from .core import FunctionalSample, _check_integer, _check_real, _frozen, _readonly
 from .poifd import _count_columns
 
 __all__ = [
@@ -57,7 +57,7 @@ class TrimSpec:
             raise ValueError("trim keeps no curves")
         if kept.ndim != 1 or kept.dtype.kind not in "iu" or (kept[1:] <= kept[:-1]).any():
             raise ValueError(f"kept must be strictly increasing curve indices, got {kept!r}")
-        object.__setattr__(self, "kept", _frozen(kept.astype(int)))
+        object.__setattr__(self, "kept", _readonly(kept.astype(int)))
 
     @property
     def keep_count(self) -> int:

@@ -60,6 +60,13 @@ class TestPartialCurve:
         assert c.mask.sum() == 2
         np.testing.assert_array_equal(c.values[c.mask], [1.0, 3.0])
 
+    def test_inputs_copied_and_stored_read_only(self):
+        values, mask = np.array([1.0, 2.0]), np.array([True, True])
+        c = PartialCurve(values, mask)
+        assert not np.shares_memory(c.values, values) and not np.shares_memory(c.mask, mask)
+        assert values.flags.writeable and mask.flags.writeable
+        assert not c.values.flags.writeable and not c.mask.flags.writeable
+
     def test_nonfinite_allowed_at_unobserved_slots(self):
         c = PartialCurve(np.array([np.nan, 2.0]), np.array([False, True]))
         assert c.values[1] == 2.0

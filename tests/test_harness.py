@@ -231,9 +231,9 @@ class TestScenarioFile:
 def test_tables_validate_one_sample_per_replication(tmp_path, monkeypatch):
     """simulate_sample chains its stages on bare matrices: 48 scenarios x 2 reps, 96 samples."""
     built = []
-    real = FunctionalSample.__post_init__
+    real = FunctionalSample._store
     monkeypatch.setattr(
-        FunctionalSample, "__post_init__", lambda self: built.append(1) or real(self)
+        FunctionalSample, "_store", lambda *args, **kw: built.append(1) or real(*args, **kw)
     )
     reproduce_tables(tmp_path, seed=1, n_reps=2, grid_len=20)
     assert len(built) == 96

@@ -15,6 +15,7 @@ from pofda import poifd
 from pofda.core import FunctionalSample, Grid, PartialCurve, build_sample
 from pofda.depths import DepthKind, depth_from_counts
 from pofda.poifd import (
+    DepthResult,
     ifd,
     poifd_all,
     poifd_of,
@@ -74,6 +75,13 @@ class TestIfd:
 
 
 class TestPoifd:
+    def test_depth_result_copies_its_input(self):
+        depths = np.array([0.25, 0.5])
+        result = DepthResult(depths)
+        assert depths.flags.writeable and not np.shares_memory(result.poifd, depths)
+        assert not result.poifd.flags.writeable
+        np.testing.assert_array_equal(result.poifd, depths)
+
     def test_constant_curves_fm_value(self):
         s = constant_sample([1.0, 2.0, 3.0])
         assert poifd_of(s, s.curves[1], kind="fm", phi="identity") == pytest.approx(

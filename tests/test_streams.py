@@ -1,9 +1,9 @@
 """numpy's stream contract: `_streams` draws what numpy's spawned children draw.
 
 Curve i's stream must equal Generator(PCG64(child)) for the i-th child
-of the seed, byte for byte, both through the per-curve Generators that
-sample_gp reads and through the vectorized `_Streams` that contaminate
-and observe draw from.
+of the seed, byte for byte, through every draw of the `_Streams` handle
+that sample_gp, contaminate and observe read: normals, doubles, bounded
+integers and choices.
 """
 
 import re
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.random import PCG64, Generator, SeedSequence
 
 from pofda import simulate
-from pofda._streams import _curve_rngs, _curve_states, _Streams
+from pofda._streams import _Streams
 from pofda.core import FunctionalSample, Grid
 from pofda.simulate import (
     ContaminationKind,
@@ -35,13 +35,23 @@ from conftest import draw_mask_reference, flat_curves, numpy_streams
 def stream_bytes(rng):
     return (
         rng.random(3).tobytes()
-        + rng.standard_normal(4).tobytes()
         + rng.choice(50, size=5, replace=False).tobytes()
+        + rng.standard_normal(4).tobytes()
     )
 
 
+def handle_bytes(streams, n):
+    """stream_bytes of each of the handle's n rows, drawn for all rows at once."""
+    rows = np.arange(n)
+    u = streams.doubles(rows, 3)
+    c = streams.choice(rows, 50, 5)
+    z = np.empty((n, 4))
+    streams.normals(z)
+    return [u[i].tobytes() + c[i].tobytes() + z[i].tobytes() for i in rows]
+
+
 def assert_streams_match_numpy(seed, n):
-    """_curve_rngs(seed, n) draws what numpy's spawned children draw, byte for byte."""
+    """_Streams(seed, n) draws what numpy's spawned children draw, byte for byte."""
     seq = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     fresh = SeedSequence(
         seq.entropy,
@@ -50,7 +60,7 @@ def assert_streams_match_numpy(seed, n):
         n_children_spawned=seq.n_children_spawned,
     )
     expected = [stream_bytes(Generator(PCG64(child))) for child in fresh.spawn(n)]
-    assert [stream_bytes(rng) for rng in _curve_rngs(seed, n)] == expected
+    assert handle_bytes(_Streams(seed, n), n) == expected
 
 
 class TestCurveStreams:
@@ -104,7 +114,7 @@ class TestCurveStreams:
 
     def test_last_child_below_2_32_matches_numpy(self):
         seq = SeedSequence(0, n_children_spawned=2**32 - 2)
-        got = [stream_bytes(rng) for rng in _curve_rngs(seq, 2)]
+        got = handle_bytes(_Streams(seq, 2), 2)
         children = [SeedSequence(0, spawn_key=(2**32 - 2 + i,)) for i in range(2)]
         assert got == [stream_bytes(Generator(PCG64(c))) for c in children]
 
@@ -112,7 +122,7 @@ class TestCurveStreams:
         # numpy keeps n_children_spawned in 32 bits: it refuses 2**32 at
         # construction, so index 2**32 is reached by spawning past it.
         with pytest.raises(ValueError, match=re.escape("2**32")):
-            next(_curve_rngs(SeedSequence(0, n_children_spawned=2**32 - 1), 2))
+            _Streams(SeedSequence(0, n_children_spawned=2**32 - 1), 2)
 
 
 # Bounds that hit Lemire's rejection about half the time (2**31 + 1) or
@@ -138,7 +148,7 @@ class TestVectorStreams:
     """_Streams draws what numpy's Generator draws per curve, byte for byte.
 
     These fail loudly if numpy ever changes a bit generator or sampler
-    that observe and contaminate reproduce.
+    that the simulation stages reproduce.
     """
 
     @given(seed=st.integers(0, 2**64), n=st.integers(1, 6), data=st.data())
@@ -146,7 +156,7 @@ class TestVectorStreams:
     def test_draws_match_generator(self, seed, n, data):
         # Draws interleave over changing row subsets, as observe's redraws
         # do, so each row's buffered 32-bit half carries across them.
-        streams = _Streams(*_curve_states(seed, n))
+        streams = _Streams(seed, n)
         gens = numpy_streams(seed, n)
         for _ in range(data.draw(st.integers(1, 12))):
             rows, kind, args = data.draw(stream_draws(n))
@@ -160,10 +170,53 @@ class TestVectorStreams:
                 got = streams.choice(rows, *args)
                 want = [gens[r].choice(args[0], args[1], replace=False) for r in rows]
             np.testing.assert_array_equal(got, np.array(want).reshape(got.shape))
+        # normals, which reads no buffered half, ends the handle
+        got = np.empty((n, data.draw(st.integers(0, 6))))
+        streams.normals(got)
+        np.testing.assert_array_equal(got, [g.standard_normal(got.shape[1]) for g in gens])
+        with pytest.raises(AttributeError):
+            streams.doubles(np.arange(n), 1)
+
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 6),
+        buffered=st.integers(0, 2**6 - 1),
+        as_slice=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sub_handle_draws_what_the_parent_would(self, seed, n, buffered, as_slice, data):
+        streams = _Streams(seed, n)
+        # one bounded draw leaves its rows holding a buffered 32-bit half
+        odd = np.flatnonzero(buffered >> np.arange(n) & 1)
+        if odd.size:
+            streams.bounded(odd, 2**31 + 1)
+        if as_slice:
+            start = data.draw(st.integers(0, n - 1))
+            rows = slice(start, data.draw(st.integers(start + 1, n)))
+            index = np.arange(n)[rows]
+        else:
+            index = rows = np.array(
+                data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            )
+        before = {name: getattr(streams, name).copy() for name in _Streams.__slots__}
+        sub = streams[rows]
+        own = np.arange(index.size)
+        got = [sub.bounded(own, 6), sub.doubles(own, 2), sub.choice(own, 9, 4)]
+        got.append(np.empty((index.size, 3)))
+        sub.normals(got[-1])
+        for name, column in before.items():
+            np.testing.assert_array_equal(getattr(streams, name), column)
+        want = [streams.bounded(index, 6), streams.doubles(index, 2), streams.choice(index, 9, 4)]
+        want.append(np.empty((n, 3)))
+        streams.normals(want[-1])
+        want[-1] = want[-1][index]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_lemire_rejection_and_full_choice(self):
         rows = np.arange(5)
-        streams = _Streams(*_curve_states(8, 5))
+        streams = _Streams(8, 5)
         gens = numpy_streams(8, 5)
         for _ in range(20):
             np.testing.assert_array_equal(
@@ -180,7 +233,7 @@ class TestVectorStreams:
         pop, m = spec._n_cells() - spec.n_intervals + 1, spec.n_intervals
         assert pop > 10000 and m > pop // 50
         rows = np.arange(2)
-        streams = _Streams(*_curve_states(4, 2))
+        streams = _Streams(4, 2)
         gens = numpy_streams(4, 2)
         np.testing.assert_array_equal(
             streams.choice(rows, pop, m), [g.choice(pop, m, replace=False) for g in gens]
@@ -208,7 +261,7 @@ class TestVectorStreams:
                 ObservationSpec("intervals", p_obs=p_obs, n_intervals=1)
 
     def test_bounded_needs_32_bit_range(self):
-        streams = _Streams(*_curve_states(0, 1))
+        streams = _Streams(0, 1)
         with pytest.raises(ValueError, match=re.escape("2**32 - 1")):
             streams.bounded(np.arange(1), 2**32 - 1)
 

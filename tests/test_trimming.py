@@ -92,6 +92,13 @@ class TestTrimSpec:
         with pytest.raises(ValueError):
             TrimSpec(0.2, 0.5, kept)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_kept_copied_and_read_only(self, dtype):
+        kept = np.array([1, 3], dtype=dtype)
+        trim = TrimSpec(0.2, 0.5, kept)
+        assert not np.shares_memory(trim.kept, kept) and kept.flags.writeable
+        assert not trim.kept.flags.writeable and trim.kept.dtype == int
+
     def test_keep_count_is_the_kept_size(self):
         trim = TrimSpec(0.2, 0.5, [1, 3, 4])
         assert trim.keep_count == 3
